@@ -10,8 +10,9 @@ representations of the same game.
 import random
 from fractions import Fraction
 
-from . import best_response as br
+from .best_response import BestResponseResult, best_response
 from .errors import ScriptedCandidateSuboptimal
+from .lp import payoffs
 from .posg import (
     MixedPolicy,
     NormalFormGame,
@@ -38,9 +39,6 @@ class PosgAdapter:
     def policy_key(self, player, policy):
         return policy_index(self.game, policy)
 
-    def policy_by_key(self, player, key):
-        return policy_from_index(self.game, player, key)
-
     def random_policy(self, player, rng):
         return policy_from_index(
             self.game, player, rng.randrange(self.policy_count(player)))
@@ -53,16 +51,13 @@ class PosgAdapter:
             self._pair_cache[key] = hit
         return hit
 
-    def mixture(self, player, support):
-        return mixed(player, support)
-
     def best_response(self, player, opp_support, mode="lexicographic",
                       seed=None, candidate=None):
         opp = mixed(3 - player, opp_support)
         if mode == "unique-or-fail":
-            return br.best_response(self.game, player, opp, "lexicographic")
-        return br.best_response(self.game, player, opp, mode,
-                                seed=seed, candidate=candidate)
+            return best_response(self.game, player, opp, "lexicographic")
+        return best_response(self.game, player, opp, mode,
+                             seed=seed, candidate=candidate)
 
 
 class MatrixAdapter:
@@ -78,9 +73,6 @@ class MatrixAdapter:
     def policy_key(self, player, policy):
         return policy
 
-    def policy_by_key(self, player, key):
-        return key
-
     def random_policy(self, player, rng):
         return rng.randrange(self.policy_count(player))
 
@@ -89,17 +81,16 @@ class MatrixAdapter:
 
     def best_response(self, player, opp_support, mode="lexicographic",
                       seed=None, candidate=None):
-        n = self.policy_count(player)
-        values = []
-        for own in range(n):
-            total = Fraction(0)
-            for opp, w in opp_support:
-                pay = self.nfg.payoff(own, opp) if player == 1 \
-                    else self.nfg.payoff(opp, own)
-                total += w * pay[player - 1]
-            values.append(total)
+        # Zero weights on the responder's side: only its payoff vector
+        # against the opponent mixture is read.
+        own = [Fraction(0)] * self.policy_count(player)
+        opp = [Fraction(0)] * self.policy_count(3 - player)
+        for q, w in opp_support:
+            opp[q] += w
+        x, y = (own, opp) if player == 1 else (opp, own)
+        values = payoffs(self.nfg.v1, self.nfg.v2, x, y)[player - 1]
         best = max(values)
-        opt = [a for a in range(n) if values[a] == best]
+        opt = [a for a, v in enumerate(values) if v == best]
         if mode == "scripted":
             if candidate is None or values[candidate] != best:
                 raise ScriptedCandidateSuboptimal(
@@ -111,7 +102,7 @@ class MatrixAdapter:
             witness = opt[random.Random(seed).randrange(len(opt))]
         else:
             witness = opt[0]
-        return br.BestResponseResult(best, witness, len(opt))
+        return BestResponseResult(best, witness, len(opt))
 
 
 def as_adapter(game):
@@ -122,6 +113,19 @@ def as_adapter(game):
     if isinstance(game, NormalFormGame):
         return MatrixAdapter(game)
     raise TypeError(f"not a game: {game!r}")
+
+
+def profile_values(adapter, s1, s2):
+    """Exact value pair of the mixed profile given by two [(policy, weight)]
+    supports, from the adapter's pure-profile evaluations."""
+    v1 = Fraction(0)
+    v2 = Fraction(0)
+    for p, wp in s1:
+        for q, wq in s2:
+            a, b = adapter.evaluate(p, q)
+            v1 += wp * wq * a
+            v2 += wp * wq * b
+    return v1, v2
 
 
 def as_support(adapter, player, mixture):

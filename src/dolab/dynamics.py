@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .adapters import as_adapter
+from .adapters import as_adapter, profile_values
 from .equilibrium import (
     enumerate_nash_bimatrix,
     is_unique_zero_sum_equilibrium,
@@ -186,19 +186,6 @@ class MetaState:
                               tuple(map(tuple, self.v2)),
                               self.adapter.zero_sum)
 
-    def profile_values(self, x, y):
-        v1 = Fraction(0)
-        v2 = Fraction(0)
-        for i, wi in enumerate(x):
-            if wi == 0:
-                continue
-            for j, wj in enumerate(y):
-                if wj == 0:
-                    continue
-                v1 += wi * wj * self.v1[i][j]
-                v2 += wi * wj * self.v2[i][j]
-        return v1, v2
-
     def support(self, player, weights):
         return [(self.sets[player - 1][i], w)
                 for i, w in enumerate(weights) if w != 0]
@@ -225,29 +212,18 @@ def _scripted_vector(state, player, pairs, t):
     return weights
 
 
-def _certify_meta_nash(state, x, y, t):
-    v1, v2 = state.profile_values(x, y)
-    rows = len(state.v1)
-    cols = len(state.v1[0]) if rows else 0
-    best1 = max(sum(state.v1[i][j] * y[j] for j in range(cols))
-                for i in range(rows))
-    best2 = max(sum(state.v2[i][j] * x[i] for i in range(rows))
-                for j in range(cols))
-    if best1 != v1 or best2 != v2:
-        raise IllegalScriptedMetaNash(
-            f"iteration {t}: scripted profile has meta improvements "
-            f"({best1 - v1}, {best2 - v2})")
-
-
 def _solve_meta(state, tiebreak, t):
-    """Meta-Nash profile as weight vectors; returns (x, y, unique, mode)."""
+    """Meta-Nash profile as weight vectors; returns (x, y, unique, mode).
+
+    A scripted profile is certified by the caller, from the same payoffs
+    call that gives the iteration's meta values.
+    """
     mode = tiebreak.meta_nash_mode
     if mode == "scripted":
         scripted = tiebreak.schedule.meta_nash(t, state)
         if scripted is not None:
             x = _scripted_vector(state, 1, scripted[0], t)
             y = _scripted_vector(state, 2, scripted[1], t)
-            _certify_meta_nash(state, x, y, t)
             return x, y, None, "scripted-certified"
         mode = "lexicographic"
     if not state.adapter.zero_sum:
@@ -368,7 +344,12 @@ def _oracle_loop(game, eps, tiebreak, max_iters, init, alpha, algorithm):
             trace.status = "schedule_exhausted"
             break
         x, y, meta_unique, meta_mode = _solve_meta(state, tiebreak, t)
-        mv = state.profile_values(x, y)
+        rows, cols, mv = lp.payoffs(state.v1, state.v2, x, y)
+        if meta_mode == "scripted-certified" and \
+                (max(rows) != mv[0] or max(cols) != mv[1]):
+            raise IllegalScriptedMetaNash(
+                f"iteration {t}: scripted profile has meta improvements "
+                f"({max(rows) - mv[0]}, {max(cols) - mv[1]})")
         supp1 = state.support(1, x)
         supp2 = state.support(2, y)
         r1, scripted1 = _respond(state, 1, supp2, tiebreak, t)
@@ -482,13 +463,7 @@ def run_fictitious_play(game, rounds, tiebreak, init=None):
         else:
             r1 = adapter.best_response(1, avgs[1], "lexicographic")
             r2 = adapter.best_response(2, avgs[0], "lexicographic")
-        v1 = Fraction(0)
-        v2 = Fraction(0)
-        for p, wp in avgs[0]:
-            for q, wq in avgs[1]:
-                a, b = adapter.evaluate(p, q)
-                v1 += wp * wq * a
-                v2 += wp * wq * b
+        v1, v2 = profile_values(adapter, avgs[0], avgs[1])
         expl = (r1.value - v1) + (r2.value - v2)
         key_avgs = (
             tuple(sorted((adapter.policy_key(1, p), w) for p, w in avgs[0])),

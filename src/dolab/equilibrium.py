@@ -13,7 +13,7 @@ from itertools import combinations
 from math import comb
 
 from . import lp
-from .adapters import as_adapter, as_support
+from .adapters import as_adapter, as_support, profile_values
 from .errors import EnumerationCapExceeded, NotZeroSum
 
 DEFAULT_SUPPORT_CAP = 200_000
@@ -66,22 +66,19 @@ class EquilibriumCheck:
     values: tuple
 
 
-def _pure_improvements(nfg, x, y):
-    m, n = nfg.shape
-    v1 = sum(x[i] * y[j] * nfg.v1[i][j] for i in range(m) for j in range(n))
-    v2 = sum(x[i] * y[j] * nfg.v2[i][j] for i in range(m) for j in range(n))
-    best1 = max(sum(nfg.v1[i][j] * y[j] for j in range(n)) for i in range(m))
-    best2 = max(sum(nfg.v2[i][j] * x[i] for i in range(m)) for j in range(n))
-    return (best1 - v1, best2 - v2), (v1, v2)
+def _certified(nfg, x, y):
+    """EquilibriumResult for (x, y) with its exact pure-deviation certificate."""
+    rows, cols, values = lp.payoffs(nfg.v1, nfg.v2, x, y)
+    cert = (max(rows) - values[0], max(cols) - values[1])
+    return EquilibriumResult(tuple(x), tuple(y), values, cert)
 
 
 def solve_zero_sum(nfg):
     """Exact maximin/minimax strategies and value via rational LP."""
     if not nfg.zero_sum:
         raise NotZeroSum("solve_zero_sum needs a zero-sum game")
-    x, y, value = lp.zero_sum_strategies(nfg.v1)
-    cert, values = _pure_improvements(nfg, x, y)
-    return EquilibriumResult(tuple(x), tuple(y), values, cert)
+    x, y, _ = lp.zero_sum_strategies(nfg.v1)
+    return _certified(nfg, x, y)
 
 
 def enumerate_nash_bimatrix(nfg, max_support, cap=DEFAULT_SUPPORT_CAP):
@@ -118,7 +115,7 @@ def _support_candidate(nfg, rows, cols):
     sol = lp.solve_linear_system(a, b)
     if sol is None:
         return None
-    yj, v1 = sol[:s], sol[s]
+    yj = sol[:s]
     if any(w <= 0 for w in yj):
         return None
     # Row mixture x and value v2: columns indifferent.
@@ -127,7 +124,7 @@ def _support_candidate(nfg, rows, cols):
     sol = lp.solve_linear_system(a, b)
     if sol is None:
         return None
-    xi, v2 = sol[:s], sol[s]
+    xi = sol[:s]
     if any(w <= 0 for w in xi):
         return None
     m, n = nfg.shape
@@ -137,34 +134,20 @@ def _support_candidate(nfg, rows, cols):
         x[i] = xi[k]
     for k, j in enumerate(cols):
         y[j] = yj[k]
-    for i in range(m):
-        if sum(nfg.v1[i][j] * y[j] for j in range(n)) > v1:
-            return None
-    for j in range(n):
-        if sum(nfg.v2[i][j] * x[i] for i in range(m)) > v2:
-            return None
-    cert, values = _pure_improvements(nfg, x, y)
-    return EquilibriumResult(tuple(x), tuple(y), values, cert)
+    # Positive weights on indifferent supports make the profile values
+    # equal v1 and v2, so a zero certificate is the best-response test.
+    eq = _certified(nfg, x, y)
+    return eq if eq.certificate == (0, 0) else None
 
 
-def nash_gap(game, m1, m2, oracle=None):
+def nash_gap(game, m1, m2):
     """Per-player best-response improvements and their sum (the Nash gap)."""
     ad = as_adapter(game)
     s1 = as_support(ad, 1, m1)
     s2 = as_support(ad, 2, m2)
-    v1 = Fraction(0)
-    v2 = Fraction(0)
-    for p, wp in s1:
-        for q, wq in s2:
-            a, b = ad.evaluate(p, q)
-            v1 += wp * wq * a
-            v2 += wp * wq * b
-    if oracle is None:
-        b1 = ad.best_response(1, s2).value
-        b2 = ad.best_response(2, s1).value
-    else:
-        b1 = oracle(game, 1, s2)
-        b2 = oracle(game, 2, s1)
+    v1, v2 = profile_values(ad, s1, s2)
+    b1 = ad.best_response(1, s2).value
+    b2 = ad.best_response(2, s1).value
     return GapReport((b1 - v1, b2 - v2), (b1 - v1) + (b2 - v2), (v1, v2))
 
 

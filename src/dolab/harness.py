@@ -12,8 +12,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 
-from .adapters import as_adapter
 from .best_response import is_best_response
 from .dynamics import (
     LastAddedMetaNash,
@@ -27,6 +27,7 @@ from .equilibrium import (
 )
 from .errors import DolabError, InvalidFamily
 from .families import (
+    encode_policy,
     encode_policy_for,
     family_matrix,
     incrementing_matrix,
@@ -183,8 +184,6 @@ def verify_t4(k=3, nf_cap=2_000_000):
     """Incrementing game: dominance reduction to the 2^k bit strings, the
     welfare-maximizing equilibrium ladder, and the scripted meta-Nash run
     taking 2^k - 1 iterations for eps < 1/k."""
-    from .families import encode_policy  # local to avoid cycles at import
-
     n = 2 ** k
     alpha = Fraction(1, 2 * k)
     g = incrementing_posg(k)
@@ -378,11 +377,6 @@ def _sweep_trial(family, k, eps, meta_mode, br_mode, seed, schedule_name,
     }, tr
 
 
-def _sweep_worker(args):
-    summary, _ = _sweep_trial(*args)
-    return summary
-
-
 def sweep_double_oracle(family, k, seeds, eps=Fraction(0),
                         meta_mode="lexicographic", br_mode="lexicographic",
                         schedule_name=None, max_iters=None, parallel=None,
@@ -398,19 +392,18 @@ def sweep_double_oracle(family, k, seeds, eps=Fraction(0),
         raise ValueError("sweeps need at least 2 seeds")
     args = [(family, k, eps, meta_mode, br_mode, seed, schedule_name,
              max_iters) for seed in seeds]
-    traces = []
     if parallel is None:
         parallel = int(os.environ.get("DOLAB_PARALLEL", "1"))
-    if parallel > 1 and not keep_traces:
+    if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            summaries = list(pool.map(_sweep_worker, args))
+            results = list(pool.map(_sweep_trial, *zip(*args)))
     else:
-        summaries = []
-        for a in args:
-            summary, tr = _sweep_trial(*a)
-            summaries.append(summary)
-            if keep_traces:
-                traces.append(tr)
+        results = starmap(_sweep_trial, args)
+    summaries, traces = [], []
+    for summary, tr in results:
+        summaries.append(summary)
+        if keep_traces:
+            traces.append(tr)
     counts = [s["iterations"] for s in summaries if s["iterations"] is not None]
     stats = {
         "family": family,

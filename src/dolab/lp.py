@@ -11,7 +11,9 @@ solve is deterministic and exact.  Two entry points:
 The kernel runs on gmpy2.mpq when available (same exact rational
 semantics, much faster) and falls back to fractions.Fraction; inputs and
 outputs are always Fractions.  A separate exact Gaussian elimination
-(solve_linear_system) backs support enumeration.
+(solve_linear_system) backs support enumeration, and payoffs is the one
+place that computes a bimatrix profile's values and every pure strategy's
+payoff against it (the meta-Nash and equilibrium certificates).
 """
 
 from fractions import Fraction
@@ -133,21 +135,14 @@ def _two_phase(c, a_ub, b_ub, a_eq, b_eq):
             needs_artificial.append(True)
         rows.append(row + slacks + [b])
 
-    art_cols = []
-    basis = []
-    for i in range(m):
-        if needs_artificial[i]:
-            art_cols.append(i)
-        else:
-            slack_index = sum(1 for j in range(i) if raw[j][2] == "ub")
-            basis.append(n + slack_index)
+    art_cols = [i for i in range(m) if needs_artificial[i]]
     total = width + len(art_cols)
     for r in range(m):
         art = [_ZERO] * len(art_cols)
         if needs_artificial[r]:
             art[art_cols.index(r)] = _ONE
         rows[r] = rows[r][:-1] + art + [rows[r][-1]]
-    # Rebuild the basis in row order.
+    # Initial basis in row order: an artificial where needed, else the slack.
     basis = []
     si = 0
     for i in range(m):
@@ -209,6 +204,26 @@ def maximize(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     return x, -value
 
 
+def payoffs(v1, v2, x, y):
+    """Exact payoffs of the bimatrix profile (x, y), skipping zero weights.
+
+    Returns (rows, cols, values): rows[i] = (v1 y)_i is row i's payoff
+    against y, cols[j] = (x' v2)_j is column j's payoff against x, and
+    values = (x' v1 y, x' v2 y).  Every row and column is scored, whatever
+    its own weight, so max(rows) - values[0] and max(cols) - values[1] are
+    the players' best pure-deviation improvements.  Every sum starts at
+    Fraction(0), so no output is an int.
+    """
+    zero = Fraction(0)
+    xs = [(i, w) for i, w in enumerate(x) if w != 0]
+    ys = [(j, w) for j, w in enumerate(y) if w != 0]
+    rows = [sum((row[j] * w for j, w in ys), zero) for row in v1]
+    cols = [sum((v2[i][j] * w for i, w in xs), zero) for j in range(len(y))]
+    values = (sum((w * rows[i] for i, w in xs), zero),
+              sum((w * cols[j] for j, w in ys), zero))
+    return rows, cols, values
+
+
 def zero_sum_strategies(matrix):
     """Exact maximin solution of a zero-sum matrix game.
 
@@ -233,13 +248,8 @@ def zero_sum_strategies(matrix):
     # Certify: exact feasibility and equal guarantees on both sides.
     if sum(x) != 1 or sum(y) != 1 or any(v < 0 for v in x) or any(v < 0 for v in y):
         raise LpError("zero-sum solve produced a non-distribution")
-    row_guarantee = min(
-        sum(x[i] * matrix[i][j] for i in range(m)) for j in range(n)
-    )
-    col_guarantee = max(
-        sum(matrix[i][j] * y[j] for j in range(n)) for i in range(m)
-    )
-    if row_guarantee != value or col_guarantee != value:
+    rows, cols, _ = payoffs(matrix, matrix, x, y)
+    if not max(rows) == value == min(cols):
         raise LpError("zero-sum solve failed its exactness certificate")
     return x, y, value
 

@@ -341,15 +341,6 @@ def policy_index(g, policy):
     return idx
 
 
-def policy_from_assignment(g, player, mapping):
-    domain = reachable_observation_sequences(g, player)
-    try:
-        actions = tuple(mapping[seq] for seq in domain)
-    except KeyError as missing:
-        raise DomainMismatch(f"assignment missing sequence {missing}") from None
-    return PurePolicy(player, domain, actions)
-
-
 def check_policy(g, policy, player):
     if policy.player != player:
         raise DomainMismatch(f"expected a policy for player {player}")

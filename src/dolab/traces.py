@@ -12,7 +12,7 @@ import json
 import os
 from fractions import Fraction
 
-from .errors import MissingTraces
+from .errors import DolabError, MissingTraces
 from .rationals import fmt, parse
 
 TRACE_VERSION = 1
@@ -156,7 +156,6 @@ def build_report(trace_dir, structure_fn=None, support_fn=None):
         runs = groups[(family, k, algorithm)]
         counts = []
         statuses = {}
-        cert_fail = 0
         for _, records in runs:
             result = records[-1]
             statuses[result["status"]] = statuses.get(result["status"], 0) + 1
@@ -164,10 +163,6 @@ def build_report(trace_dir, structure_fn=None, support_fn=None):
                 counts.append(result["iterations"])
             elif "rounds" in result:
                 counts.append(result["rounds"])
-            for rec in records:
-                if rec["type"] == "iteration" and \
-                        rec.get("meta_mode") == "scripted-failed":
-                    cert_fail += 1
         row = {
             "family": family,
             "k": k,
@@ -177,7 +172,6 @@ def build_report(trace_dir, structure_fn=None, support_fn=None):
             "iterations_min": min(counts) if counts else None,
             "iterations_max": max(counts) if counts else None,
             "statuses": statuses,
-            "certificate_failures": cert_fail,
             "gap_summary": _gap_stats(runs[0][1]) if len(runs) == 1 else None,
         }
         if structure_fn is not None and k is not None:
@@ -186,12 +180,12 @@ def build_report(trace_dir, structure_fn=None, support_fn=None):
                 row["zero_sum"] = zs
                 row["fully_observable"] = fo
                 row["tree_form"] = tf
-            except Exception:
+            except DolabError:
                 pass
         if support_fn is not None and k is not None:
             try:
                 row["nash_support"] = support_fn(family, k)
-            except Exception:
+            except DolabError:
                 row["nash_support"] = None
         rows.append(row)
     return rows

@@ -111,14 +111,28 @@ def test_sweep_requires_two_seeds():
                    "--seeds", "1") == 1
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    from dolab.harness import sweep_double_oracle
-    serial, s_sum, _ = sweep_double_oracle("BiggerNumber", 2, range(6),
-                                           parallel=1)
-    para, p_sum, _ = sweep_double_oracle("BiggerNumber", 2, range(6),
-                                         parallel=2)
+@pytest.mark.parametrize("keep_traces", [False, True])
+def test_sweep_parallel_matches_serial(keep_traces, monkeypatch):
+    from dolab import harness
+    from dolab.traces import run_trace_lines
+    pools = []
+
+    class Pool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    serial, s_sum, s_tr = harness.sweep_double_oracle(
+        "BiggerNumber", 2, range(6), parallel=1, keep_traces=keep_traces)
+    para, p_sum, p_tr = harness.sweep_double_oracle(
+        "BiggerNumber", 2, range(6), parallel=2, keep_traces=keep_traces)
+    assert pools == [2]  # kept traces do not force a serial run
     assert serial == para
     assert s_sum == p_sum
+    assert len(s_tr) == len(p_tr) == (6 if keep_traces else 0)
+    assert [run_trace_lines(tr) for tr in s_tr] == \
+        [run_trace_lines(tr) for tr in p_tr]
 
 
 def test_verify_theorem_cli(tmp_path, capsys):

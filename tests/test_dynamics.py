@@ -148,6 +148,17 @@ def test_illegal_scripted_meta_nash_not_equilibrium():
         run_double_oracle(g, F(0), tb, init=both)
 
 
+def test_scripted_meta_nash_deviation_to_zero_weight_row():
+    # Iteration 1 adds row 1; at iteration 2 the scripted profile keeps all
+    # weight on row 0, and the unplayed row 1 is the only profitable move.
+    g = normal_form([[0, 0], [1, 0]])
+    sched = ExplicitSchedule([{}, {"meta_nash": ([(0, F(1))], [(0, F(1))])}])
+    tb = TiebreakPolicy(meta_nash_mode="scripted", schedule=sched)
+    with pytest.raises(IllegalScriptedMetaNash,
+                       match=r"iteration 2: .*improvements \(1, 0\)"):
+        run_double_oracle(g, F(0), tb, init=(0, 0))
+
+
 def test_illegal_scripted_best_response():
     k = 2
     g = weak_bigger_number_posg(k)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dolab import gameio, traces
 from dolab.dynamics import TiebreakPolicy, run_double_oracle
-from dolab.errors import GameValidationError, MissingTraces
+from dolab.errors import GameValidationError, InvalidFamily, MissingTraces
 from dolab.families import FAMILIES, encode_policy_for, make_game
 from dolab.posg import evaluate_profile, policy_from_index
 from dolab.rationals import fmt, parse
@@ -113,6 +113,32 @@ def test_report_build_and_determinism(tmp_path):
     assert rows[0]["runs"] == 2
     again = traces.build_report(str(d))
     assert traces.format_report(rows) == traces.format_report(again)
+
+
+def _one_trace_dir(tmp_path):
+    traces.write_trace(tmp_path / "run.trace", _small_trace(), header_extra={
+        "game": {"family": "WeakBiggerNumber", "k": 2}})
+    return str(tmp_path)
+
+
+def test_report_leaves_out_flags_of_invalid_families(tmp_path):
+    def invalid(family, k):
+        raise InvalidFamily(family)
+
+    rows = traces.build_report(_one_trace_dir(tmp_path),
+                               structure_fn=invalid, support_fn=invalid)
+    assert "zero_sum" not in rows[0] and "tree_form" not in rows[0]
+    assert rows[0]["nash_support"] is None
+    assert "certificate_failures" not in rows[0]
+
+
+@pytest.mark.parametrize("hook", ["structure_fn", "support_fn"])
+def test_report_propagates_bugs_in_hooks(tmp_path, hook):
+    def buggy(family, k):
+        raise TypeError("bug in a report hook")
+
+    with pytest.raises(TypeError):
+        traces.build_report(_one_trace_dir(tmp_path), **{hook: buggy})
 
 
 def test_report_missing_traces(tmp_path):

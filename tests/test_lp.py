@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dolab.errors import LpError
 from dolab.lp import (
     maximize,
     minimize,
+    payoffs,
     solve_linear_system,
     zero_sum_strategies,
 )
@@ -94,3 +97,45 @@ def test_linear_system():
 
 def test_linear_system_singular():
     assert solve_linear_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)]) is None
+
+
+def double_sums(v1, v2, x, y):
+    """The literal definitions payoffs must reproduce (the test oracle)."""
+    m, n = len(x), len(y)
+    rows = [sum(v1[i][j] * y[j] for j in range(n)) for i in range(m)]
+    cols = [sum(x[i] * v2[i][j] for i in range(m)) for j in range(n)]
+    values = tuple(sum(x[i] * v[i][j] * y[j]
+                       for i in range(m) for j in range(n)) for v in (v1, v2))
+    return rows, cols, values
+
+
+ENTRIES = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=5))
+WEIGHTS = st.one_of(st.just(0), st.just(F(0)),
+                    st.fractions(min_value=0, max_value=1, max_denominator=7))
+
+
+@st.composite
+def bimatrix_profiles(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    v1, v2 = ([[draw(ENTRIES) for _ in range(n)] for _ in range(m)]
+              for _ in range(2))
+    x = [draw(WEIGHTS) for _ in range(m)]
+    y = [draw(WEIGHTS) for _ in range(n)]
+    return v1, v2, x, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(bimatrix_profiles())
+@example(([[1, F(-2), 3]], [[0, 1, F(-1, 2)]], [F(1)], [0, F(1, 2), F(1, 2)]))
+@example(([[1], [F(-2)], [3]], [[0], [1], [F(-1, 2)]], [F(1, 3), 0, F(2, 3)],
+          [F(1)]))
+@example(([[1, 2], [3, 4]], [[4, 3], [2, 1]], [0, 0], [0, 0]))
+# the unplayed row 1 and column 1 are the profitable deviations
+@example(([[0, 0], [1, 0]], [[0, 2], [0, 0]], [1, 0], [1, 0]))
+def test_payoffs_match_double_sums(game):
+    rows, cols, values = payoffs(*game)
+    assert (rows, cols, values) == double_sums(*game)
+    assert all(type(q) is F for q in rows + cols + list(values))
+
