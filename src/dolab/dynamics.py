@@ -22,6 +22,7 @@ from . import lp
 from .adapters import as_adapter, profile_values
 from .equilibrium import (
     enumerate_nash_bimatrix,
+    is_unique_pair,
     is_unique_zero_sum_equilibrium,
 )
 from .errors import (
@@ -238,8 +239,8 @@ def _solve_meta(state, tiebreak, t):
     x, y, _ = lp.zero_sum_strategies(state.v1)
     unique = None
     if mode == "unique-or-fail":
-        cert = is_unique_zero_sum_equilibrium(state.meta_nfg())
-        if not cert.unique:
+        if not is_unique_pair(state.v1, x, y):
+            cert = is_unique_zero_sum_equilibrium(state.meta_nfg())
             raise UniquenessViolation(
                 f"iteration {t}: meta-Nash strategies are not unique "
                 f"(witness for player {cert.witness[0]})")

@@ -3,8 +3,9 @@
 Zero-sum games are solved by exact-rational linear programming; small
 bimatrix games by support enumeration with exact feasibility checks.
 Nash gaps and eps-equilibrium certificates are computed against exact
-best-response oracles, and zero-sum strategy uniqueness is decided by
-probing every coordinate of the optimal face.
+best-response oracles.  Zero-sum strategy uniqueness is decided in closed
+form from one optimal pair (is_unique_pair); the optimal face is probed
+only to name a witness when the answer is "not unique".
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from math import comb
 
 from . import lp
 from .adapters import as_adapter, as_support, profile_values
-from .errors import EnumerationCapExceeded, NotZeroSum
+from .errors import EnumerationCapExceeded, LpError, NotZeroSum
 
 DEFAULT_SUPPORT_CAP = 200_000
 
@@ -48,14 +49,6 @@ class GapReport:
     improvements: tuple
     gap: Fraction
     values: tuple
-
-    @property
-    def impr1(self):
-        return self.improvements[0]
-
-    @property
-    def impr2(self):
-        return self.improvements[1]
 
 
 @dataclass(frozen=True)
@@ -106,26 +99,24 @@ def enumerate_nash_bimatrix(nfg, max_support, cap=DEFAULT_SUPPORT_CAP):
     return out
 
 
+def _indifferent(sub):
+    """Weights w on the columns of the square matrix sub that make every
+    row indifferent (sub w = u 1, 1'w = 1), or None when this bordered
+    system [[sub, -1], [1', 0]] is singular."""
+    s = len(sub)
+    a = [[*row, Fraction(-1)] for row in sub]
+    a.append([Fraction(1)] * s + [Fraction(0)])
+    sol = lp.solve_linear_system(a, [Fraction(0)] * s + [Fraction(1)])
+    return None if sol is None else sol[:s]
+
+
 def _support_candidate(nfg, rows, cols):
-    s = len(rows)
-    # Column mixture y and value v1: rows indifferent, weights sum to 1.
-    a = [[nfg.v1[i][j] for j in cols] + [Fraction(-1)] for i in rows]
-    a.append([Fraction(1)] * s + [Fraction(0)])
-    b = [Fraction(0)] * s + [Fraction(1)]
-    sol = lp.solve_linear_system(a, b)
-    if sol is None:
+    # y makes the rows indifferent under v1, x the columns under v2.
+    yj = _indifferent([[nfg.v1[i][j] for j in cols] for i in rows])
+    if yj is None or any(w <= 0 for w in yj):
         return None
-    yj = sol[:s]
-    if any(w <= 0 for w in yj):
-        return None
-    # Row mixture x and value v2: columns indifferent.
-    a = [[nfg.v2[i][j] for i in rows] + [Fraction(-1)] for j in cols]
-    a.append([Fraction(1)] * s + [Fraction(0)])
-    sol = lp.solve_linear_system(a, b)
-    if sol is None:
-        return None
-    xi = sol[:s]
-    if any(w <= 0 for w in xi):
+    xi = _indifferent([[nfg.v2[i][j] for i in rows] for j in cols])
+    if xi is None or any(w <= 0 for w in xi):
         return None
     m, n = nfg.shape
     x = [Fraction(0)] * m
@@ -163,39 +154,58 @@ def verify_equilibrium(game, m1, m2, eps):
     )
 
 
-def is_unique_zero_sum_equilibrium(nfg):
-    """Decide whether each player's optimal-strategy polytope is a point.
-
-    After the LP solve, for every strategy coordinate maximize it over the
-    optimal face; the polytope is {x*} iff no coordinate can exceed its
-    value at x*.  Returns a differing optimal strategy as witness when a
-    probe escapes.
+def is_unique_pair(v, x, y):
+    """Whether (x, y), an optimal pair of the zero-sum matrix game v, is
+    its only optimal pair (Shapley & Snow 1950).  With supports I and J,
+    exactly when every row outside I earns less than the value against y
+    and every column outside J concedes more than it against x (a unique
+    pair is strictly complementary: Goldman & Tucker 1956), |I| = |J|, and
+    the bordered kernel [[v_IJ, 1], [1', 0]] is nonsingular.
     """
-    if not nfg.zero_sum:
-        raise NotZeroSum("uniqueness test needs a zero-sum game")
-    res = solve_zero_sum(nfg)
-    m, n = nfg.shape
-    value = res.value
-    # Row player's optimal face: x in simplex with x' V1 >= value columnwise.
-    a_ub = [[-nfg.v1[i][j] for i in range(m)] for j in range(n)]
-    b_ub = [-value] * n
-    a_eq = [[Fraction(1)] * m]
-    b_eq = [Fraction(1)]
+    rows, cols, (value, _) = lp.payoffs(v, v, x, y)
+    played = [i for i, w in enumerate(x) if w]
+    used = [j for j, w in enumerate(y) if w]
+    return (all(w or r < value for w, r in zip(x, rows))
+            and all(w or c > value for w, c in zip(y, cols))
+            and len(played) == len(used)
+            and _indifferent([[v[i][j] for j in used] for i in played])
+            is not None)
+
+
+def _face_witness(matrix, value, base):
+    """The first coordinate probe (a two-phase LP) that finds a row strategy
+    x on the optimal face {x : x' matrix >= value} with more weight than
+    base on that row, or None when the face is {base}."""
+    m = len(matrix)
+    a_ub = [[-a for a in col] for col in zip(*matrix)]
+    b_ub = [-value] * len(a_ub)
     for i in range(m):
         c = [Fraction(0)] * m
         c[i] = Fraction(1)
-        probe, best = lp.maximize(c, a_ub, b_ub, a_eq, b_eq)
-        if best > res.row_strategy[i]:
-            return UniquenessCertificate(False, (1, tuple(probe)))
-    # Column player's optimal face: V1 y <= value rowwise.
-    a_ub = [[nfg.v1[i][j] for j in range(n)] for i in range(m)]
-    b_ub = [value] * m
-    a_eq = [[Fraction(1)] * n]
-    b_eq = [Fraction(1)]
-    for j in range(n):
-        c = [Fraction(0)] * n
-        c[j] = Fraction(1)
-        probe, best = lp.maximize(c, a_ub, b_ub, a_eq, b_eq)
-        if best > res.col_strategy[j]:
-            return UniquenessCertificate(False, (2, tuple(probe)))
-    return UniquenessCertificate(True, None)
+        probe, best = lp.maximize(c, a_ub, b_ub, [[Fraction(1)] * m],
+                                  [Fraction(1)])
+        if best > base[i]:
+            return tuple(probe)
+    return None
+
+
+def is_unique_zero_sum_equilibrium(nfg):
+    """Decide whether each player's optimal-strategy polytope is a point.
+
+    Solves the game once and applies is_unique_pair.  Only if that says
+    "not unique" are the optimal faces searched for a differing optimal
+    strategy (player 1's, then player 2's as the row player of -v1'),
+    which is returned as the witness.
+    """
+    if not nfg.zero_sum:
+        raise NotZeroSum("uniqueness test needs a zero-sum game")
+    x, y, value = lp.zero_sum_strategies(nfg.v1)
+    if is_unique_pair(nfg.v1, x, y):
+        return UniquenessCertificate(True, None)
+    neg_t = [[-a for a in col] for col in zip(*nfg.v1)]
+    for player, face in ((1, (nfg.v1, value, x)), (2, (neg_t, -value, y))):
+        probe = _face_witness(*face)
+        if probe is not None:
+            return UniquenessCertificate(False, (player, probe))
+    raise LpError("uniqueness certificate says not unique, but no optimal "
+                  "face probe found a second optimal strategy")

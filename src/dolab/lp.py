@@ -5,15 +5,16 @@ solve is deterministic and exact.  Two entry points:
 
   * zero_sum_strategies: one shifted primal solve per game, strategies for
     both players read from the final tableau (primal solution + duals).
-  * maximize / minimize: small general-purpose two-phase solver used for
-    optimal-face probing and restricted-support values.
+  * maximize: small general-purpose two-phase solver; it probes the
+    optimal face for a witness once uniqueness has been refuted.
 
 The kernel runs on gmpy2.mpq when available (same exact rational
 semantics, much faster) and falls back to fractions.Fraction; inputs and
 outputs are always Fractions.  A separate exact Gaussian elimination
-(solve_linear_system) backs support enumeration, and payoffs is the one
-place that computes a bimatrix profile's values and every pure strategy's
-payoff against it (the meta-Nash and equilibrium certificates).
+(solve_linear_system) backs support enumeration and the uniqueness
+kernel check, and payoffs is the one place that computes a bimatrix
+profile's values and every pure strategy's payoff against it (the
+meta-Nash, equilibrium and uniqueness certificates).
 """
 
 from fractions import Fraction
@@ -107,57 +108,33 @@ def solve_max_leq(c, a_ub, b_ub):
 
 def _two_phase(c, a_ub, b_ub, a_eq, b_eq):
     """Minimize c'x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0."""
-    n = len(c)
-    raw = [(list(row), _Q(b), "ub") for row, b in zip(a_ub, b_ub)]
-    raw += [(list(row), _Q(b), "eq") for row, b in zip(a_eq, b_eq)]
-    m = len(raw)
-
-    # Columns: n structural, then one slack/surplus per inequality, then
-    # artificials as needed.  Rows are normalized to nonnegative rhs.
-    slack_cols = sum(1 for _, _, kind in raw if kind == "ub")
-    width = n + slack_cols
-    rows = []
-    needs_artificial = []
-    si = 0
-    for coeffs, b, kind in raw:
-        row = [_Q(v) for v in coeffs]
-        sign = 1
-        if b < 0:
+    n, k = len(c), len(a_ub)
+    width = n + k
+    # Columns: n structural, one slack per inequality, then an artificial
+    # for each equality and each row whose rhs is negative.  Such rows are
+    # negated to a nonnegative rhs.  The initial basis, in row order, is
+    # the row's artificial where it has one, else its slack.
+    rows, basis, art_rows = [], [], []
+    for r, (coeffs, b) in enumerate(zip([*a_ub, *a_eq], [*b_ub, *b_eq])):
+        row = [_Q(v) for v in coeffs] + [_ZERO] * k + [_Q(b)]
+        if r < k:
+            row[n + r] = _ONE
+        if row[-1] < 0:
             row = [-v for v in row]
-            b = -b
-            sign = -1
-        slacks = [_ZERO] * slack_cols
-        if kind == "ub":
-            slacks[si] = _Q(sign)
-            needs_artificial.append(sign < 0)
-            si += 1
+        if r >= k or row[n + r] < 0:
+            basis.append(width + len(art_rows))
+            art_rows.append(r)
         else:
-            needs_artificial.append(True)
-        rows.append(row + slacks + [b])
-
-    art_cols = [i for i in range(m) if needs_artificial[i]]
-    total = width + len(art_cols)
+            basis.append(n + r)
+        rows.append(row)
+    m = len(rows)
+    total = width + len(art_rows)
     for r in range(m):
-        art = [_ZERO] * len(art_cols)
-        if needs_artificial[r]:
-            art[art_cols.index(r)] = _ONE
-        rows[r] = rows[r][:-1] + art + [rows[r][-1]]
-    # Initial basis in row order: an artificial where needed, else the slack.
-    basis = []
-    si = 0
-    for i in range(m):
-        if needs_artificial[i]:
-            basis.append(width + art_cols.index(i))
-        else:
-            basis.append(n + si)
-        if raw[i][2] == "ub":
-            si += 1
+        art = [_ONE if a == r else _ZERO for a in art_rows]
+        rows[r] = rows[r][:-1] + art + rows[r][-1:]
 
-    if art_cols:
-        phase1 = [_ZERO] * total + [_ZERO]
-        for k in range(len(art_cols)):
-            phase1[width + k] = _ONE
-        rows.append(phase1)
+    if art_rows:
+        rows.append([_ZERO] * width + [_ONE] * len(art_rows) + [_ZERO])
         # Price out basic artificials.
         for r, b in enumerate(basis):
             if b >= width:
@@ -166,15 +143,18 @@ def _two_phase(c, a_ub, b_ub, a_eq, b_eq):
         if rows[-1][-1] != 0:
             raise LpError("infeasible linear program")
         rows.pop()
-        # Drive remaining artificials out of the basis.
+        # Drive remaining artificials out of the basis.  A row none can
+        # leave reads 0 = 0 (a redundant equality): drop it, then drop the
+        # artificial columns.
         for r in range(m):
             if basis[r] >= width:
                 pc = next((j for j in range(width) if rows[r][j] != 0), None)
                 if pc is not None:
                     _pivot(rows, r, pc)
                     basis[r] = pc
-        # Drop artificial columns.
-        rows = [row[:width] + [row[-1]] for row in rows]
+        rows = [row[:width] + [row[-1]]
+                for row, b in zip(rows, basis) if b < width]
+        basis = [b for b in basis if b < width]
         total = width
 
     obj = [_Q(v) for v in c] + [_ZERO] * (total - n) + [_ZERO]
@@ -191,11 +171,6 @@ def _two_phase(c, a_ub, b_ub, a_eq, b_eq):
             x[b] = rows[r][-1]
     value = sum((_Q(ci) * xi for ci, xi in zip(c, x)), _ZERO)
     return [_fr(v) for v in x], _fr(value)
-
-
-def minimize(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """Minimize c'x over {x >= 0 : a_ub x <= b_ub, a_eq x = b_eq}."""
-    return _two_phase(c, a_ub, b_ub, a_eq, b_eq)
 
 
 def maximize(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):

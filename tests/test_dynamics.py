@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dolab import lp
 from dolab.dynamics import (
     ExplicitSchedule,
     LastAddedMetaNash,
@@ -27,6 +28,7 @@ from dolab.families import (
     schedule_for_theorem,
     weak_bigger_number_posg,
 )
+from dolab.harness import verify_t2
 from dolab.posg import induced_normal_form, normal_form, policy_index
 
 LEX = TiebreakPolicy()
@@ -104,6 +106,29 @@ def test_max_iters_exceeded():
     with pytest.raises(MaxItersExceeded):
         run_double_oracle(g, F(0), LEX, max_iters=2,
                           init=pair("GuessTheString", 3, g, 0, 0))
+
+
+def test_unique_or_fail_solves_each_meta_game_once(monkeypatch):
+    # the certificate reads the pair already solved: no second solve, and
+    # no optimal-face probe while the answer is "unique"
+    def probe(*args, **kwargs):
+        raise AssertionError("optimal-face probe on the unique path")
+
+    monkeypatch.setattr(lp, "maximize", probe)
+    verdict, _ = verify_t2(3)
+    assert verdict.passed, verdict.first_violation
+    solves = []
+    solve = lp.zero_sum_strategies
+    monkeypatch.setattr(lp, "zero_sum_strategies",
+                        lambda v: solves.append(v) or solve(v))
+    k = 3
+    g = bigger_number_posg(k)
+    tb = TiebreakPolicy(meta_nash_mode="unique-or-fail",
+                        best_response_mode="unique-or-fail")
+    tr = run_double_oracle(g, F(0), tb, init=pair("BiggerNumber", k, g, 0, 0))
+    assert tr.status == "converged"
+    assert all(r.meta_unique for r in tr.iterations)
+    assert len(solves) == len(tr.iterations) == 2 ** k
 
 
 def test_unique_or_fail_trips_on_degenerate_meta():

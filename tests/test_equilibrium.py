@@ -1,15 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dolab import equilibrium, lp
 from dolab.equilibrium import (
+    _face_witness,
     enumerate_nash_bimatrix,
+    is_unique_pair,
     is_unique_zero_sum_equilibrium,
     nash_gap,
     solve_zero_sum,
     verify_equilibrium,
 )
-from dolab.errors import EnumerationCapExceeded, NotZeroSum
+from dolab.errors import EnumerationCapExceeded, LpError, NotZeroSum
 from dolab.families import (
     bigger_number_matrix,
     encode_policy_for,
@@ -211,3 +216,48 @@ def test_uniqueness_requires_zero_sum():
     gs = normal_form([[1, 0], [0, 1]], [[1, 0], [0, 1]], zero_sum=False)
     with pytest.raises(NotZeroSum):
         is_unique_zero_sum_equilibrium(gs)
+
+
+def test_uniqueness_disagreement_raises(monkeypatch):
+    # a "not unique" certificate that no face probe confirms is a solver
+    # fault, never a certificate without a witness
+    monkeypatch.setattr(equilibrium, "is_unique_pair", lambda v, x, y: False)
+    with pytest.raises(LpError):
+        is_unique_zero_sum_equilibrium(MP)
+
+
+@st.composite
+def small_zero_sum(draw):
+    """Small integer matrices; few distinct entries make ties, and so fat
+    optimal faces, common."""
+    entries = draw(st.sampled_from((st.integers(-1, 1), st.integers(-2, 2))))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    return [[draw(entries) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=600, deadline=None)
+@given(small_zero_sum())
+@example([[1, -1], [-1, 1]])          # unique, mixed
+@example([[0, 0], [0, 0]])            # every pair optimal
+@example([[0, 0, 1]])                 # two optimal columns
+@example([[1, 0], [0, 0]])            # the zero row ties the saddle
+@example([[1, -1], [-1, 1], [0, 0]])  # the unplayed row ties the value
+@example([[1, 1], [1, 1], [0, 2]])    # duplicate rows
+def test_certificate_matches_face_probes(v):
+    # the coordinate probes of both optimal faces are the oracle
+    x, y, value = lp.zero_sum_strategies(v)
+    neg_t = [[-a for a in col] for col in zip(*v)]
+    probed = (_face_witness(v, value, x) is None
+              and _face_witness(neg_t, -value, y) is None)
+    assert is_unique_pair(v, x, y) == probed
+
+
+def test_certificate_on_pairs_off_the_simplex_vertex():
+    # a simplex pair that is strictly complementary is already unique, so
+    # only optimal pairs inside a face reach the support-size and kernel
+    # conditions
+    h = F(1, 2)
+    assert not is_unique_pair([[1, 1]], [F(1)], [h, h])  # |I| != |J|
+    assert not is_unique_pair([[0, 0], [0, 0]], [h, h], [h, h])  # singular
+    assert is_unique_pair([[1, -1], [-1, 1]], [h, h], [h, h])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from dolab.errors import LpError
 from dolab.lp import (
     maximize,
-    minimize,
     payoffs,
     solve_linear_system,
     zero_sum_strategies,
@@ -71,13 +70,25 @@ def test_equality_constraints():
 
 
 def test_negative_rhs_round_trip():
-    x, v = minimize([F(1)], a_ub=[[F(-1)]], b_ub=[F(-2)])
-    assert v == 2
+    # min x s.t. x >= 2, as max -x s.t. -x <= -2
+    x, v = maximize([F(-1)], a_ub=[[F(-1)]], b_ub=[F(-2)])
+    assert x == [F(2)]
+    assert v == -2
 
 
 def test_infeasible():
     with pytest.raises(LpError):
-        minimize([F(1)], a_eq=[[F(1)], [F(1)]], b_eq=[F(1), F(2)])
+        maximize([F(-1)], a_eq=[[F(1)], [F(1)]], b_eq=[F(1), F(2)])
+
+
+def test_redundant_equalities():
+    # the artificials of repeated equalities cannot leave the phase-1
+    # basis; their rows are dropped, not read past the tableau's end
+    for a_eq, b_eq in (([[F(1), F(1)]] * 3, [F(1)] * 3),
+                       ([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])):
+        x, v = maximize([F(1), F(0)], a_eq=a_eq, b_eq=b_eq)
+        assert x == [F(1), F(0)]
+        assert v == 1
 
 
 def test_unbounded():
