@@ -25,8 +25,9 @@ from .errors import (
 from .posg import (
     PurePolicy,
     check_policy,
+    delta,
     domain_tree,
-    evaluate_profile,
+    evaluate_mixed,
     reachable_observation_sequences,
 )
 
@@ -225,14 +226,8 @@ def best_response(g, player, opp, select="lexicographic", seed=None,
 
 
 def _value_against(g, player, policy, opp):
-    total = Fraction(0)
-    for pol, w in opp.support:
-        if player == 1:
-            v = evaluate_profile(g, policy, pol)[0]
-        else:
-            v = evaluate_profile(g, pol, policy)[1]
-        total += w * v
-    return total
+    pair = (delta(policy), opp) if player == 1 else (opp, delta(policy))
+    return evaluate_mixed(g, *pair)[player - 1]
 
 
 def best_response_value(g, player, opp, cap=DEFAULT_NODE_CAP):

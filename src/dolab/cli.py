@@ -67,11 +67,12 @@ LEGALITY_ERRORS = (IllegalScriptedMetaNash, IllegalScriptedBestResponse,
 
 
 def _rational(text):
-    text = str(text)
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    """Parse "n" or "n/d" (d nonzero) into an exact Fraction."""
+    num, slash, den = str(text).partition("/")
+    try:
+        return Fraction(int(num), int(den) if slash else 1)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not a rational: {text!r}") from None
 
 
 def _resolve(args, config_keys):
@@ -104,7 +105,9 @@ def _build_init(cfg, game, family, k):
     init = cfg.get("init")
     if init in (None, "random"):
         return None
-    if init == "theorem" and cfg.get("schedule") in ("T3", "T5"):
+    if init == "theorem":
+        if cfg.get("schedule") not in ("T3", "T5"):
+            raise InvalidFamily("--init theorem needs --schedule T3 or T5")
         return init_for_theorem(cfg["schedule"], k, game)
     i, j = (int(v) for v in str(init).split(","))
     if cfg.get("representation") == "matrix":
@@ -261,6 +264,9 @@ def cmd_verify_theorem(args):
     if args.k_min is not None or args.k_max is not None:
         if args.k_min is None or args.k_max is None:
             raise InvalidFamily("give both --k-min and --k-max")
+        if args.k_min > args.k_max:
+            raise InvalidFamily(
+                f"--k-min {args.k_min} is greater than --k-max {args.k_max}")
         ks = range(args.k_min, args.k_max + 1)
     results = verify_theorem(args.theorem, ks)
     all_pass = True

@@ -1,20 +1,23 @@
 """Exact-rational linear programming.
 
 Dense tableau simplex with Bland's anti-cycling pivot rule, so every
-solve is deterministic and exact.  Two entry points:
+solve is deterministic and exact.  One driver (_simplex) builds every
+tableau; it runs phase 1 only when a row needs an artificial variable.
+Two entry points:
 
   * zero_sum_strategies: one shifted primal solve per game, strategies for
     both players read from the final tableau (primal solution + duals).
-  * maximize: small general-purpose two-phase solver; it probes the
-    optimal face for a witness once uniqueness has been refuted.
+  * maximize: the general two-phase solve; it probes the optimal face for
+    a witness once uniqueness has been refuted.
 
 The kernel runs on gmpy2.mpq when available (same exact rational
 semantics, much faster) and falls back to fractions.Fraction; inputs and
-outputs are always Fractions.  A separate exact Gaussian elimination
-(solve_linear_system) backs support enumeration and the uniqueness
-kernel check, and payoffs is the one place that computes a bimatrix
-profile's values and every pure strategy's payoff against it (the
-meta-Nash, equilibrium and uniqueness certificates).
+outputs are always Fractions.  solve_linear_system is Gauss-Jordan
+elimination on the simplex's row operation (_pivot); it backs support
+enumeration and the uniqueness kernel check.  payoffs is the one place
+that computes a bimatrix profile's values and every pure strategy's
+payoff against it (the meta-Nash, equilibrium and uniqueness
+certificates).
 """
 
 from fractions import Fraction
@@ -50,11 +53,15 @@ def _pivot(rows, pr, pc):
 
 
 def _bland_iterate(rows, basis, width):
-    """Run simplex to optimality on a feasible tableau (objective row last).
+    """Price out the basic columns, then run simplex to optimality on a
+    feasible tableau (objective row last).
 
     Minimization convention: optimal when every reduced cost is >= 0.
     """
     obj = len(rows) - 1
+    for r, b in enumerate(basis):
+        if rows[obj][b] != 0:
+            _pivot(rows, r, b)
     while True:
         objrow = rows[obj]
         pc = -1
@@ -77,42 +84,20 @@ def _bland_iterate(rows, basis, width):
         basis[pr] = pc
 
 
-def solve_max_leq(c, a_ub, b_ub):
-    """Maximize c'x subject to a_ub x <= b_ub, x >= 0, with b_ub >= 0.
+def _simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
+    """Maximize c'x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    Returns (x, value, duals) where duals are the exact dual multipliers
-    of the <= constraints.  The nonnegative rhs makes the slack basis
-    feasible, so no phase-1 is needed.
+    Returns (x, value, duals), where duals[i] is the exact dual multiplier
+    of the i-th <= constraint: the objective-row entry of its slack column.
+    With b_ub >= 0 and no equalities the slack basis is feasible and
+    phase 1 is skipped.
     """
-    m, n = len(a_ub), len(c)
-    if any(b < 0 for b in b_ub):
-        raise LpError("solve_max_leq requires b >= 0")
-    rows = []
-    for i in range(m):
-        row = [_Q(v) for v in a_ub[i]]
-        row += [_ONE if j == i else _ZERO for j in range(m)]
-        row.append(_Q(b_ub[i]))
-        rows.append(row)
-    objrow = [-_Q(v) for v in c] + [_ZERO] * m + [_ZERO]
-    rows.append(objrow)
-    basis = [n + i for i in range(m)]
-    _bland_iterate(rows, basis, n + m)
-    x = [_ZERO] * n
-    for r, b in enumerate(basis):
-        if b < n:
-            x[b] = rows[r][-1]
-    value = sum((_Q(ci) * xi for ci, xi in zip(c, x)), _ZERO)
-    duals = [_fr(rows[-1][n + i]) for i in range(m)]
-    return [_fr(v) for v in x], _fr(value), duals
-
-
-def _two_phase(c, a_ub, b_ub, a_eq, b_eq):
-    """Minimize c'x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0."""
     n, k = len(c), len(a_ub)
     width = n + k
     # Columns: n structural, one slack per inequality, then an artificial
     # for each equality and each row whose rhs is negative.  Such rows are
-    # negated to a nonnegative rhs.  The initial basis, in row order, is
+    # negated to a nonnegative rhs, slack included, so the slack's reduced
+    # cost is still the row's dual.  The initial basis, in row order, is
     # the row's artificial where it has one, else its slack.
     rows, basis, art_rows = [], [], []
     for r, (coeffs, b) in enumerate(zip([*a_ub, *a_eq], [*b_ub, *b_eq])):
@@ -127,27 +112,21 @@ def _two_phase(c, a_ub, b_ub, a_eq, b_eq):
         else:
             basis.append(n + r)
         rows.append(row)
-    m = len(rows)
-    total = width + len(art_rows)
-    for r in range(m):
-        art = [_ONE if a == r else _ZERO for a in art_rows]
-        rows[r] = rows[r][:-1] + art + rows[r][-1:]
 
     if art_rows:
+        for r, row in enumerate(rows):
+            art = [_ONE if a == r else _ZERO for a in art_rows]
+            rows[r] = row[:-1] + art + row[-1:]
         rows.append([_ZERO] * width + [_ONE] * len(art_rows) + [_ZERO])
-        # Price out basic artificials.
-        for r, b in enumerate(basis):
-            if b >= width:
-                rows[-1] = [v - p for v, p in zip(rows[-1], rows[r])]
-        _bland_iterate(rows, basis, total)
+        _bland_iterate(rows, basis, width + len(art_rows))
         if rows[-1][-1] != 0:
             raise LpError("infeasible linear program")
         rows.pop()
         # Drive remaining artificials out of the basis.  A row none can
         # leave reads 0 = 0 (a redundant equality): drop it, then drop the
         # artificial columns.
-        for r in range(m):
-            if basis[r] >= width:
+        for r, b in enumerate(basis):
+            if b >= width:
                 pc = next((j for j in range(width) if rows[r][j] != 0), None)
                 if pc is not None:
                     _pivot(rows, r, pc)
@@ -155,28 +134,22 @@ def _two_phase(c, a_ub, b_ub, a_eq, b_eq):
         rows = [row[:width] + [row[-1]]
                 for row, b in zip(rows, basis) if b < width]
         basis = [b for b in basis if b < width]
-        total = width
 
-    obj = [_Q(v) for v in c] + [_ZERO] * (total - n) + [_ZERO]
-    rows.append(obj)
-    for r, b in enumerate(basis):
-        if rows[-1][b] != 0:
-            factor = rows[-1][b]
-            rows[-1] = [v - factor * p for v, p in zip(rows[-1], rows[r])]
-    _bland_iterate(rows, basis, total)
+    rows.append([-_Q(v) for v in c] + [_ZERO] * (k + 1))
+    _bland_iterate(rows, basis, width)
 
     x = [_ZERO] * n
     for r, b in enumerate(basis):
         if b < n:
             x[b] = rows[r][-1]
     value = sum((_Q(ci) * xi for ci, xi in zip(c, x)), _ZERO)
-    return [_fr(v) for v in x], _fr(value)
+    duals = [_fr(v) for v in rows[-1][n:width]]
+    return [_fr(v) for v in x], _fr(value), duals
 
 
 def maximize(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
     """Maximize c'x over {x >= 0 : a_ub x <= b_ub, a_eq x = b_eq}."""
-    x, value = _two_phase([-Fraction(v) for v in c], a_ub, b_ub, a_eq, b_eq)
-    return x, -value
+    return _simplex(c, a_ub, b_ub, a_eq, b_eq)[:2]
 
 
 def payoffs(v1, v2, x, y):
@@ -212,7 +185,7 @@ def zero_sum_strategies(matrix):
     shifted = [[Fraction(v) + shift for v in row] for row in matrix]
     # Column player: max 1'u  s.t.  B u <= 1; duals recover the row player.
     one = Fraction(1)
-    u, total, duals = solve_max_leq([one] * n, shifted, [one] * m)
+    u, total, duals = _simplex([one] * n, shifted, [one] * m)
     if total <= 0:
         raise LpError("degenerate shifted game")
     game_value = one / total
@@ -238,10 +211,5 @@ def solve_linear_system(a, b):
         if pr is None:
             return None
         rows[col], rows[pr] = rows[pr], rows[col]
-        inv = _ONE / rows[col][col]
-        rows[col] = [v * inv for v in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [v - factor * p for v, p in zip(rows[r], rows[col])]
+        _pivot(rows, col, col)
     return [_fr(rows[r][-1]) for r in range(n)]

@@ -10,6 +10,7 @@ traces (plus the family generators for structural flags).
 
 import json
 import os
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import DolabError, MissingTraces
@@ -32,6 +33,13 @@ def _line(obj):
     return json.dumps(_enc(obj), sort_keys=True, separators=(",", ":"))
 
 
+def _record(kind, record):
+    """One trace line holding every field of an iteration/round dataclass
+    (read shallowly: asdict would deep-copy each field)."""
+    return _line({"type": kind,
+                  **{f.name: getattr(record, f.name) for f in fields(record)}})
+
+
 def run_trace_lines(trace, header_extra=None):
     """Serialize a double-oracle RunTrace (or the fp/brd traces)."""
     header = {
@@ -44,25 +52,7 @@ def run_trace_lines(trace, header_extra=None):
         header.update(header_extra)
     lines = [_line(header)]
     if trace.algorithm in ("do", "alpha-do"):
-        for r in trace.iterations:
-            lines.append(_line({
-                "type": "iteration",
-                "t": r.t,
-                "set_sizes": r.set_sizes,
-                "sets": r.sets,
-                "meta_nash": r.meta_nash,
-                "meta_values": r.meta_values,
-                "responses": r.responses,
-                "improvements": r.improvements,
-                "gap": r.gap,
-                "br_counts": r.br_counts,
-                "meta_unique": r.meta_unique,
-                "meta_mode": r.meta_mode,
-                "responses_scripted": r.responses_scripted,
-                "added": r.added,
-                "gated": r.gated,
-                "m_stat": r.m_stat,
-            }))
+        lines += [_record("iteration", r) for r in trace.iterations]
         lines.append(_line({
             "type": "result",
             "status": trace.status,
@@ -72,14 +62,7 @@ def run_trace_lines(trace, header_extra=None):
             "final_sets": trace.final_sets,
         }))
     elif trace.algorithm == "fp":
-        for r in trace.rounds:
-            lines.append(_line({
-                "type": "round",
-                "t": r.t,
-                "responses": r.responses,
-                "exploitability": r.exploitability,
-                "averages": r.averages,
-            }))
+        lines += [_record("round", r) for r in trace.rounds]
         lines.append(_line({
             "type": "result",
             "status": "done",
@@ -89,8 +72,7 @@ def run_trace_lines(trace, header_extra=None):
                 trace.rounds[-1].exploitability if trace.rounds else None,
         }))
     elif trace.algorithm == "brd":
-        for r in trace.rounds:
-            lines.append(_line({"type": "round", "t": r.t, "profile": r.profile}))
+        lines += [_record("round", r) for r in trace.rounds]
         lines.append(_line({
             "type": "result",
             "status": trace.status,

@@ -70,6 +70,24 @@ def test_run_legality_exit_code():
     assert rc == 2
 
 
+@pytest.mark.parametrize("rates", [("--eps", "1/0"), ("--eps", "1/2/3"),
+                                   ("--eps", "1/"),
+                                   ("--eps", "1/2", "--alpha", "1/0")])
+def test_run_rejects_malformed_rational(rates, capsys):
+    algo = "alpha-do" if "--alpha" in rates else "do"
+    rc = run_cli("run", "--family", "BiggerNumber", "--k", "2",
+                 "--algo", algo, "--init", "0,0", *rates)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: not a rational: {rates[-1]!r}\n"
+
+
+def test_run_theorem_init_needs_theorem_schedule(capsys):
+    rc = run_cli("run", "--family", "WeakBiggerNumber", "--k", "3",
+                 "--algo", "do", "--init", "theorem")
+    assert rc == 1
+    assert "--init theorem needs --schedule T3 or T5" in capsys.readouterr().err
+
+
 def test_run_on_game_file(tmp_path, capsys):
     out = tmp_path / "wbn.json"
     run_cli("generate", "--family", "WeakBiggerNumber", "--k", "3",
@@ -145,6 +163,15 @@ def test_verify_theorem_cli(tmp_path, capsys):
     verdicts = json.loads((out / "T3_verdicts.json").read_text())
     assert all(v["passed"] for v in verdicts)
     assert any(name.endswith(".trace") for name in os.listdir(out))
+
+
+def test_verify_theorem_empty_k_range(capsys):
+    rc = run_cli("verify-theorem", "--theorem", "T3", "--k-min", "5",
+                 "--k-max", "3")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--k-min 5 is greater than --k-max 3" in captured.err
 
 
 def test_report_cli(tmp_path, capsys):

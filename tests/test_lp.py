@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dolab.errors import LpError
 from dolab.lp import (
+    _simplex,
     maximize,
     payoffs,
     solve_linear_system,
@@ -150,3 +151,131 @@ def test_payoffs_match_double_sums(game):
     assert (rows, cols, values) == double_sums(*game)
     assert all(type(q) is F for q in rows + cols + list(values))
 
+
+
+# Test oracles: the slack-basis simplex and the Gauss-Jordan loop that
+# lp.py ran before its one driver, kept self-contained on Fractions.
+
+def oracle_pivot(rows, pr, pc):
+    inv = 1 / rows[pr][pc]
+    rows[pr] = prow = [v * inv for v in rows[pr]]
+    for r, row in enumerate(rows):
+        if r != pr and row[pc] != 0:
+            factor = row[pc]
+            rows[r] = [v - factor * p for v, p in zip(row, prow)]
+
+
+def oracle_solve_max_leq(c, a_ub, b_ub):
+    """Maximize c'x s.t. a_ub x <= b_ub >= 0, x >= 0 from the slack basis."""
+    m, n = len(a_ub), len(c)
+    rows = [[F(v) for v in a_ub[i]] + [F(int(j == i)) for j in range(m)]
+            + [F(b_ub[i])] for i in range(m)]
+    rows.append([-F(v) for v in c] + [F(0)] * (m + 1))
+    basis = [n + i for i in range(m)]
+    while True:
+        pc = next((j for j in range(n + m) if rows[-1][j] < 0), None)
+        if pc is None:
+            break
+        pr, best = None, None
+        for r in range(m):
+            if rows[r][pc] > 0:
+                key = (rows[r][-1] / rows[r][pc], basis[r])
+                if best is None or key < best:
+                    pr, best = r, key
+        if pr is None:
+            raise LpError("unbounded linear program")
+        oracle_pivot(rows, pr, pc)
+        basis[pr] = pc
+    x = [F(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = rows[r][-1]
+    value = sum((F(ci) * xi for ci, xi in zip(c, x)), F(0))
+    return x, value, [rows[-1][n + i] for i in range(m)]
+
+
+def oracle_gauss_jordan(a, b):
+    n = len(a)
+    rows = [[F(v) for v in a[r]] + [F(b[r])] for r in range(n)]
+    for col in range(n):
+        pr = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pr is None:
+            return None
+        rows[col], rows[pr] = rows[pr], rows[col]
+        oracle_pivot(rows, col, col)
+    return [rows[r][-1] for r in range(n)]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LpError as err:
+        return str(err)
+
+
+SMALL = st.one_of(st.integers(-3, 3),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def leq_lps(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    a = [[draw(SMALL) for _ in range(n)] for _ in range(m)]
+    b = [abs(draw(SMALL)) for _ in range(m)]
+    return [draw(SMALL) for _ in range(n)], a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(leq_lps())
+@example(([1, 1], [[1, 2], [1, 0]], [4, 3]))
+@example(([1], [[-1]], [0]))       # unbounded
+@example(([1, 1], [[1, 1], [1, 1], [2, 2]], [1, 1, 2]))  # degenerate
+def test_simplex_matches_slack_basis_oracle(lp):
+    assert outcome(_simplex, *lp) == outcome(oracle_solve_max_leq, *lp)
+
+
+@st.composite
+def square_systems(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-2, 2), SMALL)
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        a[-1] = [draw(st.integers(-2, 2)) * v for v in a[0]]
+    return a, [draw(SMALL) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_systems())
+@example(([[0, 1], [1, 0]], [2, 3]))    # needs a row swap
+def test_linear_system_matches_gauss_jordan(system):
+    got = solve_linear_system(*system)
+    assert got == oracle_gauss_jordan(*system)
+    assert got is None or all(type(v) is F for v in got)
+
+
+@st.composite
+def feasible_leq_lps(draw):
+    """Bounded <=-only LPs around a feasible point x0; rows may have b < 0."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    x0 = [abs(draw(SMALL)) for _ in range(n)]
+    a = [[draw(SMALL) for _ in range(n)] for _ in range(m)] + [[1] * n]
+    b = [sum(v * w for v, w in zip(row, x0)) + abs(draw(SMALL)) for row in a]
+    return [draw(SMALL) for _ in range(n)], a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasible_leq_lps())
+@example(([-1], [[-1], [1]], [-2, 5]))
+@example(([1, -1], [[-1, -1], [1, 0], [1, 1]], [-1, 2, 3]))
+def test_simplex_duals_certify_optimality(lp):
+    c, a, b = lp
+    x, value, duals = _simplex(c, a, b)
+    assert all(v >= 0 for v in x)
+    assert all(sum(v * w for v, w in zip(row, x)) <= bi
+               for row, bi in zip(a, b))
+    assert all(d >= 0 for d in duals)
+    assert sum(bi * d for bi, d in zip(b, duals)) == value
+    assert all(sum(a[i][j] * duals[i] for i in range(len(a))) >= c[j]
+               for j in range(len(c)))
