@@ -109,7 +109,11 @@ def _build_init(cfg, game, family, k):
         if cfg.get("schedule") not in ("T3", "T5"):
             raise InvalidFamily("--init theorem needs --schedule T3 or T5")
         return init_for_theorem(cfg["schedule"], k, game)
-    i, j = (int(v) for v in str(init).split(","))
+    try:
+        i, j = (int(v) for v in str(init).split(","))
+    except ValueError:
+        raise ValueError(f'--init expects "i,j" with integer indices, '
+                         f'got {init!r}') from None
     if cfg.get("representation") == "matrix":
         return (i, j)
     if family is not None:

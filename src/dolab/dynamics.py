@@ -21,9 +21,9 @@ from fractions import Fraction
 from . import lp
 from .adapters import as_adapter, profile_values
 from .equilibrium import (
-    enumerate_nash_bimatrix,
     is_unique_pair,
     is_unique_zero_sum_equilibrium,
+    iter_nash_bimatrix,
 )
 from .errors import (
     DolabError,
@@ -183,8 +183,8 @@ class MetaState:
         return True
 
     def meta_nfg(self):
-        return NormalFormGame(tuple(map(tuple, self.v1)),
-                              tuple(map(tuple, self.v2)),
+        return NormalFormGame(tuple([tuple(row) for row in self.v1]),
+                              tuple([tuple(row) for row in self.v2]),
                               self.adapter.zero_sum)
 
     def support(self, player, weights):
@@ -192,8 +192,8 @@ class MetaState:
                 for i, w in enumerate(weights) if w != 0]
 
     def key_vector(self, player, weights):
-        return tuple((self.keys[player - 1][i], w)
-                     for i, w in enumerate(weights) if w != 0)
+        return tuple([(self.keys[player - 1][i], w)
+                      for i, w in enumerate(weights) if w != 0])
 
 
 def _scripted_vector(state, player, pairs, t):
@@ -231,10 +231,9 @@ def _solve_meta(state, tiebreak, t):
         if mode == "unique-or-fail":
             raise ValueError("unique-or-fail meta-Nash needs a zero-sum game")
         nfg = state.meta_nfg()
-        eqs = enumerate_nash_bimatrix(nfg, max_support=min(nfg.shape))
-        if not eqs:
+        eq = next(iter_nash_bimatrix(nfg, max_support=min(nfg.shape)), None)
+        if eq is None:
             raise DolabError("support enumeration found no meta equilibrium")
-        eq = eqs[0]
         return list(eq.row_strategy), list(eq.col_strategy), None, "enumerated"
     x, y, _ = lp.zero_sum_strategies(state.v1)
     unique = None
@@ -315,6 +314,8 @@ def run_alpha_double_oracle(game, eps, alpha, tiebreak, max_iters=None,
 def _oracle_loop(game, eps, tiebreak, max_iters, init, alpha, algorithm):
     adapter = as_adapter(game)
     eps = Fraction(eps)
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
     p0 = _initial_policies(adapter, tiebreak, init)
     state = MetaState(adapter)
     state.add(1, p0[0])

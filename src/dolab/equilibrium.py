@@ -83,20 +83,24 @@ def enumerate_nash_bimatrix(nfg, max_support, cap=DEFAULT_SUPPORT_CAP):
     (degenerate) systems are skipped, so the result enumerates the isolated
     equilibria of that support size.
     """
+    return list(iter_nash_bimatrix(nfg, max_support, cap))
+
+
+def iter_nash_bimatrix(nfg, max_support, cap=DEFAULT_SUPPORT_CAP):
+    """enumerate_nash_bimatrix's equilibria, yielded lazily in the same
+    order (support size, then row support, then column support).  The
+    support-pair cap is checked when this is called, before any solve."""
     m, n = nfg.shape
     smax = min(max_support, m, n)
     total = sum(comb(m, s) * comb(n, s) for s in range(1, smax + 1))
     if total > cap:
         raise EnumerationCapExceeded(
             f"{total} support pairs exceed cap {cap}")
-    out = []
-    for s in range(1, smax + 1):
-        for rows in combinations(range(m), s):
-            for cols in combinations(range(n), s):
-                eq = _support_candidate(nfg, rows, cols)
-                if eq is not None:
-                    out.append(eq)
-    return out
+    candidates = (_support_candidate(nfg, rows, cols)
+                  for s in range(1, smax + 1)
+                  for rows in combinations(range(m), s)
+                  for cols in combinations(range(n), s))
+    return (eq for eq in candidates if eq is not None)
 
 
 def _indifferent(sub):

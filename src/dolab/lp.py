@@ -1,67 +1,93 @@
-"""Exact-rational linear programming.
+"""Exact linear programming on a fraction-free integer tableau.
 
 Dense tableau simplex with Bland's anti-cycling pivot rule, so every
-solve is deterministic and exact.  One driver (_simplex) builds every
-tableau; it runs phase 1 only when a row needs an artificial variable.
-Two entry points:
+solve is deterministic and exact.  Every tableau row is a list of Python
+ints plus one positive int denominator (the row is ints / den), kept in
+lowest terms: a pivot scales the other rows to integers, subtracts only
+over the nonzero columns of the pivot row and divides each touched row by
+the gcd of its entries and its denominator (Edmonds 1967; Bareiss 1968).
+Signs and ratios read from the ints are those of the rational tableau, so
+Bland's rule makes the same pivots as on Fractions.  Inputs are ints or
+Fractions, every result is a Fraction, and no Fraction arithmetic runs
+inside a pivot.  One driver (_simplex) builds every tableau; it runs
+phase 1 only when a row needs an artificial variable.  Two entry points:
 
   * zero_sum_strategies: one shifted primal solve per game, strategies for
     both players read from the final tableau (primal solution + duals).
   * maximize: the general two-phase solve; it probes the optimal face for
     a witness once uniqueness has been refuted.
 
-The kernel runs on gmpy2.mpq when available (same exact rational
-semantics, much faster) and falls back to fractions.Fraction; inputs and
-outputs are always Fractions.  solve_linear_system is Gauss-Jordan
-elimination on the simplex's row operation (_pivot); it backs support
-enumeration and the uniqueness kernel check.  payoffs is the one place
-that computes a bimatrix profile's values and every pure strategy's
-payoff against it (the meta-Nash, equilibrium and uniqueness
-certificates).
+solve_linear_system is Gauss-Jordan elimination on the simplex's row
+operation (_pivot); it backs support enumeration and the uniqueness
+kernel check.  payoffs is the one place that computes a bimatrix
+profile's values and every pure strategy's payoff against it (the
+meta-Nash, equilibrium and uniqueness certificates).
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import LpError
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is optional
-    _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
+_Q = Fraction  # the number type of every result; perfbench prints its name
 
 
-def _fr(value):
-    return Fraction(int(value.numerator), int(value.denominator))
+def _int_row(values):
+    """Rationals as (ints, den) with ints / den == values and den > 0: the
+    exact scaling by the lcm of their denominators."""
+    den = 1
+    for v in values:
+        d = v.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _pivot(rows, pr, pc):
-    """Pivot the tableau in place on (pr, pc)."""
+def _reduced(ints, den):
+    """ints / den in lowest terms (the gcd loop stops as soon as it is 1)."""
+    g = den
+    for v in ints:
+        g = gcd(g, v)
+        if g == 1:
+            return ints, den
+    return [v // g for v in ints], den // g
+
+
+def _pivot(rows, dens, pr, pc):
+    """Pivot the tableau rows[r] / dens[r] in place on (pr, pc)."""
     prow = rows[pr]
-    inv = _ONE / prow[pc]
-    if inv != 1:
-        rows[pr] = prow = [v * inv for v in prow]
+    pp = prow[pc]
+    if pp < 0:
+        prow, pp = [-v for v in prow], -pp
+    prow, pp = _reduced(prow, pp)
+    rows[pr], dens[pr] = prow, pp
+    nonzero = [(j, p) for j, p in enumerate(prow) if p]
     for r, row in enumerate(rows):
-        if r == pr:
-            continue
         factor = row[pc]
-        if factor == 0:
+        if r == pr or not factor:
             continue
-        rows[r] = [v - factor * p for v, p in zip(row, prow)]
+        # row - factor * prow / pp, over the common denominator
+        g = gcd(factor, pp)
+        scale, factor = pp // g, factor // g
+        if scale != 1:
+            row = [v * scale for v in row]
+        for j, p in nonzero:
+            row[j] -= factor * p
+        rows[r], dens[r] = _reduced(row, dens[r] * scale)
 
 
-def _bland_iterate(rows, basis, width):
+def _bland_iterate(rows, dens, basis, width):
     """Price out the basic columns, then run simplex to optimality on a
     feasible tableau (objective row last).
 
     Minimization convention: optimal when every reduced cost is >= 0.
+    Every denominator is positive, so signs are read from the ints, and a
+    row's ratio rhs / entry does not depend on its denominator.
     """
     obj = len(rows) - 1
     for r, b in enumerate(basis):
         if rows[obj][b] != 0:
-            _pivot(rows, r, b)
+            _pivot(rows, dens, r, b)
     while True:
         objrow = rows[obj]
         pc = -1
@@ -71,16 +97,18 @@ def _bland_iterate(rows, basis, width):
                 break
         if pc < 0:
             return
-        pr, best, best_basis = -1, None, None
+        # ratio b / a < best_b / best_a, by cross-multiplication (a > 0)
+        pr, best_b, best_a = -1, 0, 1
         for r in range(obj):
             a = rows[r][pc]
             if a > 0:
-                ratio = rows[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < best_basis):
-                    pr, best, best_basis = r, ratio, basis[r]
+                b = rows[r][-1]
+                if pr < 0 or b * best_a < best_b * a or (
+                        b * best_a == best_b * a and basis[r] < basis[pr]):
+                    pr, best_b, best_a = r, b, a
         if pr < 0:
             raise LpError("unbounded linear program")
-        _pivot(rows, pr, pc)
+        _pivot(rows, dens, pr, pc)
         basis[pr] = pc
 
 
@@ -99,29 +127,32 @@ def _simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
     # negated to a nonnegative rhs, slack included, so the slack's reduced
     # cost is still the row's dual.  The initial basis, in row order, is
     # the row's artificial where it has one, else its slack.
-    rows, basis, art_rows = [], [], []
-    for r, (coeffs, b) in enumerate(zip([*a_ub, *a_eq], [*b_ub, *b_eq])):
-        row = [_Q(v) for v in coeffs] + [_ZERO] * k + [_Q(b)]
-        if r < k:
-            row[n + r] = _ONE
-        if row[-1] < 0:
+    rhs = [*b_ub, *b_eq]
+    arts = [r for r, b in enumerate(rhs) if r >= k or b < 0]
+    extra = k + len(arts)
+    rows, dens, basis = [], [], []
+    for r, (coeffs, b) in enumerate(zip([*a_ub, *a_eq], rhs)):
+        row, den = _int_row([*coeffs, b])
+        if b < 0:
             row = [-v for v in row]
-        if r >= k or row[n + r] < 0:
-            basis.append(width + len(art_rows))
-            art_rows.append(r)
-        else:
-            basis.append(n + r)
+        row[n:n] = [0] * extra
+        if r < k:
+            row[n + r] = -den if b < 0 else den
+        basis.append(n + r)
         rows.append(row)
+        dens.append(den)
+    for a, r in enumerate(arts):
+        basis[r] = width + a
+        rows[r][basis[r]] = dens[r]
 
-    if art_rows:
-        for r, row in enumerate(rows):
-            art = [_ONE if a == r else _ZERO for a in art_rows]
-            rows[r] = row[:-1] + art + row[-1:]
-        rows.append([_ZERO] * width + [_ONE] * len(art_rows) + [_ZERO])
-        _bland_iterate(rows, basis, width + len(art_rows))
+    if arts:
+        rows.append([0] * width + [1] * len(arts) + [0])
+        dens.append(1)
+        _bland_iterate(rows, dens, basis, width + len(arts))
         if rows[-1][-1] != 0:
             raise LpError("infeasible linear program")
         rows.pop()
+        dens.pop()
         # Drive remaining artificials out of the basis.  A row none can
         # leave reads 0 = 0 (a redundant equality): drop it, then drop the
         # artificial columns.
@@ -129,22 +160,27 @@ def _simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
             if b >= width:
                 pc = next((j for j in range(width) if rows[r][j] != 0), None)
                 if pc is not None:
-                    _pivot(rows, r, pc)
+                    _pivot(rows, dens, r, pc)
                     basis[r] = pc
-        rows = [row[:width] + [row[-1]]
-                for row, b in zip(rows, basis) if b < width]
-        basis = [b for b in basis if b < width]
+        keep = [r for r, b in enumerate(basis) if b < width]
+        rows = [rows[r][:width] + [rows[r][-1]] for r in keep]
+        dens = [dens[r] for r in keep]
+        basis = [basis[r] for r in keep]
 
-    rows.append([-_Q(v) for v in c] + [_ZERO] * (k + 1))
-    _bland_iterate(rows, basis, width)
+    obj, den = _int_row(c)
+    rows.append([-v for v in obj] + [0] * (k + 1))
+    dens.append(den)
+    _bland_iterate(rows, dens, basis, width)
 
-    x = [_ZERO] * n
+    # A row holds its denominator in its basic column (1 as a rational),
+    # so the basic variable is rhs / den; the objective row's rhs is c'x.
+    x = [Fraction(0)] * n
     for r, b in enumerate(basis):
         if b < n:
-            x[b] = rows[r][-1]
-    value = sum((_Q(ci) * xi for ci, xi in zip(c, x)), _ZERO)
-    duals = [_fr(v) for v in rows[-1][n:width]]
-    return [_fr(v) for v in x], _fr(value), duals
+            x[b] = Fraction(rows[r][-1], dens[r])
+    objrow, den = rows[-1], dens[-1]
+    duals = [Fraction(v, den) for v in objrow[n:width]]
+    return x, Fraction(objrow[-1], den), duals
 
 
 def maximize(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
@@ -205,11 +241,16 @@ def zero_sum_strategies(matrix):
 def solve_linear_system(a, b):
     """Solve a square system a x = b exactly; returns None when singular."""
     n = len(a)
-    rows = [[_Q(v) for v in a[r]] + [_Q(b[r])] for r in range(n)]
+    rows, dens = [], []
+    for r in range(n):
+        row, den = _int_row([*a[r], b[r]])
+        rows.append(row)
+        dens.append(den)
     for col in range(n):
         pr = next((r for r in range(col, n) if rows[r][col] != 0), None)
         if pr is None:
             return None
         rows[col], rows[pr] = rows[pr], rows[col]
-        _pivot(rows, col, col)
-    return [_fr(rows[r][-1]) for r in range(n)]
+        dens[col], dens[pr] = dens[pr], dens[col]
+        _pivot(rows, dens, col, col)
+    return [Fraction(row[-1], den) for row, den in zip(rows, dens)]

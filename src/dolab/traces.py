@@ -12,6 +12,7 @@ import json
 import os
 from dataclasses import fields
 from fractions import Fraction
+from functools import cache
 
 from .errors import DolabError, MissingTraces
 from .rationals import fmt, parse
@@ -33,11 +34,16 @@ def _line(obj):
     return json.dumps(_enc(obj), sort_keys=True, separators=(",", ":"))
 
 
+@cache
+def _field_names(cls):
+    return tuple([f.name for f in fields(cls)])
+
+
 def _record(kind, record):
     """One trace line holding every field of an iteration/round dataclass
     (read shallowly: asdict would deep-copy each field)."""
-    return _line({"type": kind,
-                  **{f.name: getattr(record, f.name) for f in fields(record)}})
+    return _line({"type": kind, **{name: getattr(record, name)
+                                   for name in _field_names(type(record))}})
 
 
 def run_trace_lines(trace, header_extra=None):

@@ -88,6 +88,28 @@ def test_run_theorem_init_needs_theorem_schedule(capsys):
     assert "--init theorem needs --schedule T3 or T5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", [
+    ("run", "--algo", "do", "--init", "0,0", "--max-iters", "3"),
+    ("sweep", "--seeds", "0..3"),
+])
+def test_negative_eps_rejected_before_any_iteration(cmd, capsys):
+    rc = run_cli(*cmd, "--family", "BiggerNumber", "--k", "2",
+                 "--eps=-1/2")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eps must be >= 0, got -1/2\n"
+
+
+@pytest.mark.parametrize("init", ["1", "0,x", "0,1,2", ","])
+def test_run_rejects_malformed_init(init, capsys):
+    rc = run_cli("run", "--family", "BiggerNumber", "--k", "2",
+                 "--algo", "do", "--init", init)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f'error: --init expects "i,j" with integer indices, got {init!r}\n')
+
+
 def test_run_on_game_file(tmp_path, capsys):
     out = tmp_path / "wbn.json"
     run_cli("generate", "--family", "WeakBiggerNumber", "--k", "3",

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from dolab import lp
+from dolab import equilibrium, lp
 from dolab.dynamics import (
     ExplicitSchedule,
     LastAddedMetaNash,
@@ -258,6 +258,23 @@ def test_incrementing_matrix_run():
     assert tr.iteration_count == n - 1
     assert [r.responses for r in tr.iterations[:-1]] == \
         [(t, t) for t in range(1, n)]
+
+
+def test_nonzero_sum_meta_solve_stops_at_first_equilibrium(monkeypatch):
+    found = []
+    real = equilibrium._support_candidate
+
+    def counted(nfg, rows, cols):
+        eq = real(nfg, rows, cols)
+        found.append(eq is not None)
+        return eq
+
+    monkeypatch.setattr(equilibrium, "_support_candidate", counted)
+    tr = run_double_oracle(incrementing_matrix(8, 3), 0, LEX, init=(3, 3))
+    assert tr.status == "converged"
+    # one equilibrium per meta solve: enumeration stops at the first
+    assert found.count(True) == len(tr.iterations)
+    assert found[-1]
 
 
 def test_seeded_runs_deterministic():

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from dolab.equilibrium import (
     enumerate_nash_bimatrix,
     is_unique_pair,
     is_unique_zero_sum_equilibrium,
+    iter_nash_bimatrix,
     nash_gap,
     solve_zero_sum,
     verify_equilibrium,
@@ -118,6 +120,8 @@ def test_enumerate_bigger_number_all_supports():
 def test_enumerate_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_nash_bimatrix(bigger_number_matrix(16), 16, cap=10)
+    with pytest.raises(EnumerationCapExceeded):  # raised before any solve
+        iter_nash_bimatrix(bigger_number_matrix(16), 16, cap=10)
 
 
 def test_nash_gap_chain_example():
@@ -261,3 +265,32 @@ def test_certificate_on_pairs_off_the_simplex_vertex():
     assert not is_unique_pair([[1, 1]], [F(1)], [h, h])  # |I| != |J|
     assert not is_unique_pair([[0, 0], [0, 0]], [h, h], [h, h])  # singular
     assert is_unique_pair([[1, -1], [-1, 1]], [h, h], [h, h])
+
+
+@st.composite
+def small_bimatrix(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-2, 2),
+                      st.fractions(min_value=-2, max_value=2,
+                                   max_denominator=3))
+    v1, v2 = ([[draw(entry) for _ in range(n)] for _ in range(m)]
+              for _ in range(2))
+    return normal_form(v1, v2, zero_sum=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_bimatrix(), st.integers(1, 4))
+@example(normal_form([[1, 0], [0, 1]], [[1, 0], [0, 1]], zero_sum=False), 2)
+@example(normal_form([[0, 0], [0, 0]], [[0, 0], [0, 0]], zero_sum=False), 2)
+def test_first_lazy_equilibrium_is_the_first_enumerated(nfg, max_support):
+    # the oracle: the eager loop over support pairs, in enumeration order
+    m, n = nfg.shape
+    eager = [eq for s in range(1, min(max_support, m, n) + 1)
+             for rows in combinations(range(m), s)
+             for cols in combinations(range(n), s)
+             for eq in [equilibrium._support_candidate(nfg, rows, cols)]
+             if eq is not None]
+    assert enumerate_nash_bimatrix(nfg, max_support) == eager
+    first = next(iter_nash_bimatrix(nfg, max_support), None)
+    assert first == (eager[0] if eager else None)

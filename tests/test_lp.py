@@ -206,6 +206,72 @@ def oracle_gauss_jordan(a, b):
     return [rows[r][-1] for r in range(n)]
 
 
+def oracle_bland(rows, basis, width):
+    obj = len(rows) - 1
+    for r, b in enumerate(basis):
+        if rows[obj][b] != 0:
+            oracle_pivot(rows, r, b)
+    while True:
+        pc = next((j for j in range(width) if rows[obj][j] < 0), None)
+        if pc is None:
+            return
+        pr, best = None, None
+        for r in range(obj):
+            if rows[r][pc] > 0:
+                key = (rows[r][-1] / rows[r][pc], basis[r])
+                if best is None or key < best:
+                    pr, best = r, key
+        if pr is None:
+            raise LpError("unbounded linear program")
+        oracle_pivot(rows, pr, pc)
+        basis[pr] = pc
+
+
+def oracle_simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
+    """The two-phase Fraction-tableau simplex lp._simplex ran before its
+    integer rows: same columns, same initial basis, same Bland pivots."""
+    n, k = len(c), len(a_ub)
+    width = n + k
+    rows, basis, art_rows = [], [], []
+    for r, (coeffs, b) in enumerate(zip([*a_ub, *a_eq], [*b_ub, *b_eq])):
+        row = [F(v) for v in coeffs] + [F(0)] * k + [F(b)]
+        if r < k:
+            row[n + r] = F(1)
+        if row[-1] < 0:
+            row = [-v for v in row]
+        if r >= k or row[n + r] < 0:
+            basis.append(width + len(art_rows))
+            art_rows.append(r)
+        else:
+            basis.append(n + r)
+        rows.append(row)
+    if art_rows:
+        for r, row in enumerate(rows):
+            rows[r] = row[:-1] + [F(int(a == r)) for a in art_rows] + row[-1:]
+        rows.append([F(0)] * width + [F(1)] * len(art_rows) + [F(0)])
+        oracle_bland(rows, basis, width + len(art_rows))
+        if rows[-1][-1] != 0:
+            raise LpError("infeasible linear program")
+        rows.pop()
+        for r, b in enumerate(basis):
+            if b >= width:
+                pc = next((j for j in range(width) if rows[r][j] != 0), None)
+                if pc is not None:
+                    oracle_pivot(rows, r, pc)
+                    basis[r] = pc
+        rows = [row[:width] + [row[-1]]
+                for row, b in zip(rows, basis) if b < width]
+        basis = [b for b in basis if b < width]
+    rows.append([-F(v) for v in c] + [F(0)] * (k + 1))
+    oracle_bland(rows, basis, width)
+    x = [F(0)] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = rows[r][-1]
+    value = sum((F(ci) * xi for ci, xi in zip(c, x)), F(0))
+    return x, value, rows[-1][n:width]
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -279,3 +345,38 @@ def test_simplex_duals_certify_optimality(lp):
     assert sum(bi * d for bi, d in zip(b, duals)) == value
     assert all(sum(a[i][j] * duals[i] for i in range(len(a))) >= c[j]
                for j in range(len(c)))
+
+
+# entries with denominators in {1, 2, 3, 5}, both signs, zeros included
+RATIONAL = st.builds(lambda num, den: F(num, den),
+                     st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+
+
+@st.composite
+def general_lps(draw):
+    """Mixed-sign right-hand sides and equality rows, sometimes repeated,
+    so phase 1 runs on fractional input."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(RATIONAL, min_size=n, max_size=n)
+    a_ub = draw(st.lists(row, max_size=4))
+    a_eq = draw(st.lists(row, max_size=3))
+    b_ub = [draw(RATIONAL) for _ in a_ub]
+    b_eq = [draw(RATIONAL) for _ in a_eq]
+    if a_eq and draw(st.booleans()):
+        a_eq.append(a_eq[0])
+        b_eq.append(b_eq[0])
+    if draw(st.booleans()):  # bounded: sum(x) <= b
+        a_ub.append([1] * n)
+        b_ub.append(abs(draw(RATIONAL)))
+    return [draw(RATIONAL) for _ in range(n)], a_ub, b_ub, a_eq, b_eq
+
+
+@settings(max_examples=400, deadline=None)
+@given(general_lps())
+@example(([1, 0], [], [], [[1, 1]] * 3, [1] * 3))     # redundant equalities
+@example(([F(-1)], [[F(-1, 2)]], [F(-2, 3)], [], []))  # negative rhs
+@example(([1], [], [], [[1], [1]], [1, 2]))            # infeasible
+@example(([1], [[-1]], [F(1, 5)], [], []))             # unbounded
+@example(([2, -2], [[2, -2]], [2], [[2, 0]], [2]))      # the ratio test ties
+def test_simplex_matches_fraction_oracle(lp):
+    assert outcome(_simplex, *lp) == outcome(oracle_simplex, *lp)
