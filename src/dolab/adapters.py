@@ -19,6 +19,7 @@ from .posg import (
     Posg,
     evaluate_profile,
     mixed,
+    mixed_values,
     policy_count,
     policy_from_index,
     policy_index,
@@ -44,12 +45,13 @@ class PosgAdapter:
             self.game, player, rng.randrange(self.policy_count(player)))
 
     def evaluate(self, p1, p2):
-        key = (p1.actions, p2.actions)
-        hit = self._pair_cache.get(key)
-        if hit is None:
-            hit = evaluate_profile(self.game, p1, p2)
-            self._pair_cache[key] = hit
-        return hit
+        return evaluate_profile(self.game, p1, p2)
+
+    def profile_values(self, s1, s2):
+        """Exact value pair of the mixed profile given by two
+        [(policy, weight)] supports.  Fictitious play asks for nearly the
+        same pairs every round, so their forward passes are cached."""
+        return mixed_values(self.game, s1, s2, cache=self._pair_cache)
 
     def best_response(self, player, opp_support, mode="lexicographic",
                       seed=None, candidate=None):
@@ -79,14 +81,24 @@ class MatrixAdapter:
     def evaluate(self, p1, p2):
         return self.nfg.payoff(p1, p2)
 
+    def _weights(self, player, support):
+        out = [Fraction(0)] * self.policy_count(player)
+        for i, w in support:
+            out[i] += w
+        return out
+
+    def profile_values(self, s1, s2):
+        """Exact value pair of the mixed profile given by two
+        [(strategy index, weight)] supports."""
+        return payoffs(self.nfg.v1, self.nfg.v2, self._weights(1, s1),
+                       self._weights(2, s2))[2]
+
     def best_response(self, player, opp_support, mode="lexicographic",
                       seed=None, candidate=None):
         # Zero weights on the responder's side: only its payoff vector
         # against the opponent mixture is read.
         own = [Fraction(0)] * self.policy_count(player)
-        opp = [Fraction(0)] * self.policy_count(3 - player)
-        for q, w in opp_support:
-            opp[q] += w
+        opp = self._weights(3 - player, opp_support)
         x, y = (own, opp) if player == 1 else (opp, own)
         values = payoffs(self.nfg.v1, self.nfg.v2, x, y)[player - 1]
         best = max(values)
@@ -113,19 +125,6 @@ def as_adapter(game):
     if isinstance(game, NormalFormGame):
         return MatrixAdapter(game)
     raise TypeError(f"not a game: {game!r}")
-
-
-def profile_values(adapter, s1, s2):
-    """Exact value pair of the mixed profile given by two [(policy, weight)]
-    supports, from the adapter's pure-profile evaluations."""
-    v1 = Fraction(0)
-    v2 = Fraction(0)
-    for p, wp in s1:
-        for q, wq in s2:
-            a, b = adapter.evaluate(p, q)
-            v1 += wp * wq * a
-            v2 += wp * wq * b
-    return v1, v2
 
 
 def as_support(adapter, player, mixture):

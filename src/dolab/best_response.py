@@ -16,6 +16,7 @@ counting.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     DomainMismatch,
@@ -26,9 +27,8 @@ from .posg import (
     PurePolicy,
     check_policy,
     delta,
-    domain_tree,
     evaluate_mixed,
-    reachable_observation_sequences,
+    indexed_domain,
 )
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -45,74 +45,103 @@ class BestResponseResult:
 
 
 class _Solver:
+    """The information-tree DP on the game's int tables.
+
+    Nodes are own domain indices; contexts are sorted ((state, opponent
+    domain index, support index), int mass) tuples with masses over
+    lcm(opponent weight denominators) * den ** len(sequence).  Every value
+    is an int over one common scale, so values compare exactly.
+    """
+
     def __init__(self, g, player, opp, cap=DEFAULT_NODE_CAP):
         if opp.player == player:
             raise DomainMismatch("opponent mixture is for the wrong player")
         for pol, _ in opp.support:
             check_policy(g, pol, opp.player)
-        self.g = g
         self.player = player
         self.pi = player - 1
-        self.oi = 1 - self.pi
         self.n_actions = g.action_counts[self.pi]
-        self.opp_actions = [pol.as_mapping() for pol, _ in opp.support]
-        self.domain = reachable_observation_sequences(g, player)
-        roots, children, sizes = domain_tree(g, player)
-        self.roots = roots
-        self.children = children
-        self.free_factor = {seq: self.n_actions ** sizes[seq] for seq in sizes}
+        self.n2 = g.action_counts[1]
+        ints = g.ints
+        self.trans = ints.trans
+        self.rewards = ints.rewards
+        own = indexed_domain(g, player)
+        other = indexed_domain(g, 3 - player)
+        self.domain = own.seqs
+        self.child = own.child
+        self.children = own.children
+        self.lift = own.lift
+        self.opp_child = other.child
+        self.free_factor = [self.n_actions ** n for n in own.sizes]
         self.memo = {}
         self.cap = cap
-        self.opp_weights = [w for _, w in opp.support]
+        self.opp_actions = [pol.actions for pol, _ in opp.support]
+        wden = 1
+        for _, w in opp.support:
+            wden = lcm(wden, w.denominator)
+        weights = [w.numerator * (wden // w.denominator)
+                   for _, w in opp.support]
+        self.scale = wden * ints.scale
 
         my_obs = g.obs[self.pi]
-        opp_obs = g.obs[self.oi]
+        opp_obs = g.obs[1 - self.pi]
         self.my_obs = my_obs
         self.opp_obs = opp_obs
 
         init = {}
-        for s, p in g.start:
-            if g.is_terminal(s):
+        start_reward = 0
+        for s, p in ints.start:
+            r = self.rewards[s]
+            if r is not None:
+                start_reward += p * r[self.pi]
                 continue
-            mseq = (my_obs[s],)
-            oseq = (opp_obs[s],)
-            for m, w in enumerate(self.opp_weights):
-                if w == 0:
-                    continue
-                key = (s, oseq, m)
-                node = init.setdefault(mseq, {})
-                node[key] = node.get(key, Fraction(0)) + p * w
-        self.root_contexts = {seq: _freeze(ctx) for seq, ctx in init.items()}
-        self.start_reward = sum(
-            (p * g.rewards[s][self.pi] for s, p in g.start if g.is_terminal(s)),
-            Fraction(0),
-        )
+            mi = own.roots[my_obs[s]]
+            oi = other.roots[opp_obs[s]]
+            node = init.setdefault(mi, {})
+            for m, w in enumerate(weights):
+                key = (s, oi, m)
+                node[key] = node.get(key, 0) + p * w
+        self.root_contexts = {i: _freeze(ctx) for i, ctx in init.items()}
+        self.start_reward = start_reward * wden * ints.den ** g.depth
 
-    def push(self, seq, contexts, action):
-        """Terminal reward and child contexts of taking `action` at `seq`."""
-        g = self.g
-        reward = Fraction(0)
+    def push(self, i, contexts, action):
+        """Terminal reward and child contexts of taking `action` at node i."""
+        trans = self.trans
+        rewards = self.rewards
+        pi = self.pi
+        n2 = self.n2
+        child = self.child[i]
+        opp_child = self.opp_child
+        opp_actions = self.opp_actions
+        my_obs = self.my_obs
+        opp_obs = self.opp_obs
+        reward = 0
         kids = {}
-        for (s, oseq, m), w in contexts:
-            a_opp = self.opp_actions[m][oseq]
-            if self.pi == 0:
-                dist = g.transition(s, action, a_opp)
+        for (s, oi, m), w in contexts:
+            a_opp = opp_actions[m][oi]
+            if pi == 0:
+                dist = trans[s][action * n2 + a_opp]
             else:
-                dist = g.transition(s, a_opp, action)
+                dist = trans[s][a_opp * n2 + action]
             for sp, q in dist:
                 wq = w * q
-                if g.is_terminal(sp):
-                    reward += wq * g.rewards[sp][self.pi]
+                r = rewards[sp]
+                if r is not None:
+                    reward += wq * r[pi]
                 else:
-                    cseq = seq + (self.my_obs[sp],)
-                    ckey = (sp, oseq + (self.opp_obs[sp],), m)
-                    node = kids.setdefault(cseq, {})
-                    node[ckey] = node.get(ckey, Fraction(0)) + wq
-        return reward, {cseq: _freeze(ctx) for cseq, ctx in kids.items()}
+                    c = child[my_obs[sp]]
+                    ckey = (sp, opp_child[oi][opp_obs[sp]], m)
+                    node = kids.get(c)
+                    if node is None:
+                        kids[c] = {ckey: wq}
+                    else:
+                        node[ckey] = node.get(ckey, 0) + wq
+        return reward * self.lift[i], {c: _freeze(ctx)
+                                       for c, ctx in kids.items()}
 
-    def solve(self, seq, contexts):
+    def solve(self, i, contexts):
         """(value, per-action values, optimal actions, count) at a node."""
-        key = (seq, contexts)
+        key = (i, contexts)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
@@ -121,16 +150,16 @@ class _Solver:
         values = []
         counts = []
         for a in range(self.n_actions):
-            reward, kids = self.push(seq, contexts, a)
+            reward, kids = self.push(i, contexts, a)
             value = reward
             count = 1
-            for cseq, cctx in kids.items():
-                cval, _, _, ccount = self.solve(cseq, cctx)
+            for c, cctx in kids.items():
+                cval, _, _, ccount = self.solve(c, cctx)
                 value += cval
                 count *= ccount
-            for cseq in self.children[seq]:
-                if cseq not in kids:
-                    count *= self.free_factor[cseq]
+            for c in self.children[i]:
+                if c not in kids:
+                    count *= self.free_factor[c]
             values.append(value)
             counts.append(count)
         best = max(values)
@@ -143,39 +172,42 @@ class _Solver:
     def value_and_count(self):
         value = self.start_reward
         count = 1
-        for seq in self.roots:
-            v, _, _, c = self.solve(seq, self.root_contexts[seq])
-            value += v
-            count *= c
-        for seq in self.domain:
-            if len(seq) == 1 and seq not in self.root_contexts:
-                count *= self.free_factor[seq]
-        return value, count
+        for i, seq in enumerate(self.domain):
+            if len(seq) > 1:
+                continue
+            ctx = self.root_contexts.get(i)
+            if ctx is None:
+                count *= self.free_factor[i]
+            else:
+                v, _, _, c = self.solve(i, ctx)
+                value += v
+                count *= c
+        return Fraction(value, self.scale), count
 
     def select(self, mode, rng):
         """Assign an action to every domain node: optimal choices at
         reached nodes, mode-dependent fill elsewhere."""
-        assignment = {}
+        assignment = []
         reached = dict(self.root_contexts)
-        for seq in self.domain:  # sorted order; prefixes precede extensions
-            ctx = reached.get(seq)
+        for i in range(len(self.domain)):  # prefixes precede extensions
+            ctx = reached.get(i)
             if ctx is None:
                 if mode == "seeded-random":
-                    assignment[seq] = rng.randrange(self.n_actions)
+                    assignment.append(rng.randrange(self.n_actions))
                 else:
-                    assignment[seq] = 0
+                    assignment.append(0)
                 continue
-            _, values, opt, _ = self.solve(seq, ctx)
+            _, _, opt, _ = self.solve(i, ctx)
             if mode == "seeded-random":
                 weights = []
                 for a in opt:
-                    _, kids = self.push(seq, ctx, a)
+                    _, kids = self.push(i, ctx, a)
                     w = 1
-                    for cseq, cctx in kids.items():
-                        w *= self.solve(cseq, cctx)[3]
-                    for cseq in self.children[seq]:
-                        if cseq not in kids:
-                            w *= self.free_factor[cseq]
+                    for c, cctx in kids.items():
+                        w *= self.solve(c, cctx)[3]
+                    for c in self.children[i]:
+                        if c not in kids:
+                            w *= self.free_factor[c]
                     weights.append(w)
                 r = rng.randrange(sum(weights))
                 for a, w in zip(opt, weights):
@@ -185,15 +217,16 @@ class _Solver:
                     r -= w
             else:
                 chosen = opt[0]
-            assignment[seq] = chosen
-            _, kids = self.push(seq, ctx, chosen)
+            assignment.append(chosen)
+            _, kids = self.push(i, ctx, chosen)
             reached.update(kids)
-        actions = tuple(assignment[seq] for seq in self.domain)
-        return PurePolicy(self.player, self.domain, actions)
+        return PurePolicy(self.player, self.domain, tuple(assignment))
 
 
 def _freeze(ctx):
-    return tuple(sorted(ctx.items()))
+    items = list(ctx.items())
+    items.sort()
+    return tuple(items)
 
 
 def best_response(g, player, opp, select="lexicographic", seed=None,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .adapters import as_adapter, profile_values
+from .adapters import as_adapter
 from .equilibrium import (
     is_unique_pair,
     is_unique_zero_sum_equilibrium,
@@ -465,7 +465,7 @@ def run_fictitious_play(game, rounds, tiebreak, init=None):
         else:
             r1 = adapter.best_response(1, avgs[1], "lexicographic")
             r2 = adapter.best_response(2, avgs[0], "lexicographic")
-        v1, v2 = profile_values(adapter, avgs[0], avgs[1])
+        v1, v2 = adapter.profile_values(avgs[0], avgs[1])
         expl = (r1.value - v1) + (r2.value - v2)
         key_avgs = (
             tuple(sorted((adapter.policy_key(1, p), w) for p, w in avgs[0])),

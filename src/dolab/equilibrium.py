@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from . import lp
-from .adapters import as_adapter, as_support, profile_values
+from .adapters import as_adapter, as_support
 from .errors import EnumerationCapExceeded, LpError, NotZeroSum
 
 DEFAULT_SUPPORT_CAP = 200_000
@@ -140,7 +140,7 @@ def nash_gap(game, m1, m2):
     ad = as_adapter(game)
     s1 = as_support(ad, 1, m1)
     s2 = as_support(ad, 2, m2)
-    v1, v2 = profile_values(ad, s1, s2)
+    v1, v2 = ad.profile_values(s1, s2)
     b1 = ad.best_response(1, s2).value
     b2 = ad.best_response(2, s1).value
     return GapReport((b1 - v1, b2 - v2), (b1 - v1) + (b2 - v2), (v1, v2))

@@ -4,7 +4,10 @@ Games are finite DAGs over states: nonterminal states carry one transition
 distribution per joint action, terminal states carry an exact-rational
 reward pair.  Each player observes states through its own observation map;
 a pure policy assigns an action to every reachable observation sequence.
-All probabilities, rewards, and values are fractions.Fraction.
+All probabilities, rewards, and values are fractions.Fraction at the API.
+build_posg also compiles the game into int tables (IntTables), and every
+forward pass runs on those ints, keyed by domain indices (IndexedDomain),
+building one Fraction per player at the end.
 
 The module also houses the normal-form view: exact payoff matrices, the
 normal-form induced by full policy enumeration, iterated dominance
@@ -14,6 +17,7 @@ reduction, and the reverse embedding of a matrix game as a one-step game.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .errors import (
     CyclicTransitionGraph,
@@ -44,10 +48,11 @@ class Posg:
       depth: length of the longest path in the transition multigraph.
       zero_sum: declared zero-sum flag (validated against rewards).
       notes: generator metadata as (key, value) string pairs.
+      ints: the same game over ints (IntTables), compiled by build_posg.
     """
 
     def __init__(self, names, rewards, start, action_counts, transitions,
-                 obs, depth, zero_sum, name="game", notes=()):
+                 obs, depth, zero_sum, name="game", notes=(), *, ints):
         self.names = names
         self.rewards = rewards
         self.start = start
@@ -58,8 +63,9 @@ class Posg:
         self.zero_sum = zero_sum
         self.name = name
         self.notes = tuple(notes)
+        self.ints = ints
         self._domains = {}
-        self._domain_trees = {}
+        self._indexed = {}
 
     @property
     def num_states(self):
@@ -75,6 +81,46 @@ class Posg:
         return f"Posg({self.name!r}, states={self.num_states}, depth={self.depth})"
 
 
+@dataclass(frozen=True)
+class IntTables:
+    """A Posg over ints: every start and transition probability is an int
+    over `den` (the lcm of all their denominators), every reward an int
+    over `rden`.  Forward passes return ints over `scale`,
+    den ** (depth + 1) * rden, the largest denominator one can reach.
+
+    start: ((state, int mass), ...); trans: per state None or, by joint
+    action, ((next_state, int prob), ...); rewards: per state None or
+    (int r1, int r2).
+    """
+
+    den: int
+    rden: int
+    start: tuple
+    trans: tuple
+    rewards: tuple
+    scale: int
+
+
+def _frac(v):
+    return v if type(v) is Fraction else Fraction(v)
+
+
+def _compile(start_items, trans, rewards, depth, den, rden):
+    return IntTables(
+        den, rden,
+        tuple([(s, p.numerator * (den // p.denominator))
+               for s, p in start_items]),
+        tuple([None if row is None else tuple([
+            tuple([(nxt, p.numerator * (den // p.denominator))
+                   for nxt, p in dist]) for dist in row])
+            for row in trans]),
+        tuple([None if r is None else
+               (r[0].numerator * (rden // r[0].denominator),
+                r[1].numerator * (rden // r[1].denominator))
+               for r in rewards]),
+        den ** (depth + 1) * rden)
+
+
 def build_posg(*, states, start, action_counts, transitions, observations,
                zero_sum=False, name="game", notes=()):
     """Validate a raw description and return a Posg.
@@ -87,17 +133,25 @@ def build_posg(*, states, start, action_counts, transitions, observations,
     n = len(states)
     names = tuple(s[0] for s in states)
     rewards = []
+    rden = 1
     for _, r in states:
         if r is None:
             rewards.append(None)
         else:
-            rewards.append((Fraction(r[0]), Fraction(r[1])))
+            r = (_frac(r[0]), _frac(r[1]))
+            rden = lcm(rden, r[0].denominator, r[1].denominator)
+            rewards.append(r)
     rewards = tuple(rewards)
 
-    start_items = sorted((int(s), Fraction(p)) for s, p in start.items())
-    if any(p < 0 for _, p in start_items):
+    # Probabilities are converted once; signs and sums are checked on the
+    # numerators over each distribution's lcm denominator.
+    start_items = sorted((int(s), _frac(p)) for s, p in start.items())
+    if any(p.numerator < 0 for _, p in start_items):
         raise NonStochasticTransition("negative start probability")
-    if sum(p for _, p in start_items) != 1:
+    den = 1
+    for _, p in start_items:
+        den = lcm(den, p.denominator)
+    if _numerator_sum(start_items, den) != den:
         raise NonStochasticTransition("start distribution does not sum to 1")
 
     n1, n2 = action_counts
@@ -113,20 +167,24 @@ def build_posg(*, states, start, action_counts, transitions, observations,
             raise GameValidationError(f"action pair ({a1},{a2}) out of range")
         if rows[s] is None:
             rows[s] = [None] * (n1 * n2)
-        total = Fraction(0)
         entries = []
+        row_den = 1
         for nxt, p in dist.items():
-            p = Fraction(p)
-            if p < 0:
+            p = _frac(p)
+            if p.numerator < 0:
                 raise NonStochasticTransition(
                     f"negative probability at {names[s]} ({a1},{a2})")
-            if p > 0:
+            if p.numerator:
                 entries.append((int(nxt), p))
-                total += p
-        if total != 1:
+                row_den = lcm(row_den, p.denominator)
+        total = _numerator_sum(entries, row_den)
+        if total != row_den:
             raise NonStochasticTransition(
-                f"transition row at {names[s]} ({a1},{a2}) sums to {total}")
-        rows[s][a1 * n2 + a2] = tuple(sorted(entries))
+                f"transition row at {names[s]} ({a1},{a2}) sums to "
+                f"{Fraction(total, row_den)}")
+        den = lcm(den, row_den)
+        entries.sort()
+        rows[s][a1 * n2 + a2] = tuple(entries)
 
     for s in range(n):
         if rewards[s] is None:
@@ -187,15 +245,26 @@ def build_posg(*, states, start, action_counts, transitions, observations,
     if len(obs_ids) > n:
         raise GameValidationError("more observation ids than states")
 
+    ints = _compile(start_items, trans, rewards, depth, den, rden)
     if zero_sum:
         for s in range(n):
-            if rewards[s] is not None and rewards[s][0] + rewards[s][1] != 0:
+            r = ints.rewards[s]
+            if r is not None and r[0] + r[1] != 0:
                 raise GameValidationError(
                     f"zero_sum flag but rewards at {names[s]} sum to "
                     f"{rewards[s][0] + rewards[s][1]}")
 
     return Posg(names, rewards, tuple(start_items), (n1, n2), trans,
-                tuple(obs_maps), depth, zero_sum, name=name, notes=notes)
+                tuple(obs_maps), depth, zero_sum, name=name, notes=notes,
+                ints=ints)
+
+
+def _numerator_sum(items, den):
+    """Sum of the (key, Fraction) items' values, as an int over den."""
+    total = 0
+    for _, p in items:
+        total += p.numerator * (den // p.denominator)
+    return total
 
 
 def reachable_observation_sequences(g, player, cap=DEFAULT_ENUMERATION_CAP):
@@ -233,25 +302,52 @@ def reachable_observation_sequences(g, player, cap=DEFAULT_ENUMERATION_CAP):
     return domain
 
 
-def domain_tree(g, player):
-    """Children-by-prefix adjacency and subtree sizes over the domain."""
-    if player in g._domain_trees:
-        return g._domain_trees[player]
-    domain = reachable_observation_sequences(g, player)
-    children = {seq: [] for seq in domain}
-    roots = []
-    dset = set(domain)
-    for seq in domain:
-        if len(seq) > 1 and seq[:-1] in dset:
-            children[seq[:-1]].append(seq)
+@dataclass(frozen=True)
+class IndexedDomain:
+    """One player's domain as indices into its canonical sorted tuple.
+
+    roots: observation -> index of the length-1 sequence.
+    child: per index, observation -> index of the extended sequence.
+    children: per index, the child indices in domain order.
+    sizes: per index, the number of sequences in its subtree.
+    lift: per index, den ** (depth - len(sequence)), which brings rewards
+      reached from that sequence to the game's forward-pass scale.
+    """
+
+    seqs: tuple
+    roots: dict
+    child: tuple
+    children: tuple
+    sizes: tuple
+    lift: tuple
+
+
+def indexed_domain(g, player):
+    """The player's IndexedDomain, built on first use and cached on g."""
+    hit = g._indexed.get(player)
+    if hit is not None:
+        return hit
+    seqs = reachable_observation_sequences(g, player)
+    index = {seq: i for i, seq in enumerate(seqs)}
+    roots = {}
+    child = [{} for _ in seqs]
+    for i, seq in enumerate(seqs):
+        if len(seq) == 1:
+            roots[seq[0]] = i
         else:
-            roots.append(seq)
-    sizes = {}
-    for seq in sorted(domain, key=len, reverse=True):
-        sizes[seq] = 1 + sum(sizes[c] for c in children[seq])
-    tree = (tuple(roots), {k: tuple(v) for k, v in children.items()}, sizes)
-    g._domain_trees[player] = tree
-    return tree
+            child[index[seq[:-1]]][seq[-1]] = i
+    # Sorted order puts every prefix before its extensions.
+    sizes = [1] * len(seqs)
+    for i in range(len(seqs) - 1, -1, -1):
+        for j in child[i].values():
+            sizes[i] += sizes[j]
+    den = g.ints.den
+    built = IndexedDomain(
+        seqs, roots, tuple(child),
+        tuple([tuple(sorted(c.values())) for c in child]), tuple(sizes),
+        tuple([den ** (g.depth - len(seq)) for seq in seqs]))
+    g._indexed[player] = built
+    return built
 
 
 @dataclass(frozen=True)
@@ -351,37 +447,69 @@ def check_policy(g, policy, player):
         raise DomainMismatch("policy assigns an out-of-range action")
 
 
-def evaluate_profile(g, p1, p2):
-    """Exact expected terminal rewards of a pure profile."""
+def _forward(g, p1, p2, rewards=None, layers=None):
+    """The one forward pass: expected rewards of a pure profile as ints
+    over g.ints.scale.
+
+    Contexts are keyed by (state, domain index of P1's sequence, domain
+    index of P2's sequence) and carry int masses over den ** level.
+    `rewards` replaces the int reward table; when `layers` is a list, each
+    level appends (live mass, player 1's accumulated reward), both over
+    den ** level.
+    """
     check_policy(g, p1, 1)
     check_policy(g, p2, 2)
-    act1 = p1.as_mapping()
-    act2 = p2.as_mapping()
+    ints = g.ints
+    den, trans = ints.den, ints.trans
+    if rewards is None:
+        rewards = ints.rewards
+    d1 = indexed_domain(g, 1)
+    d2 = indexed_domain(g, 2)
+    root1, root2 = d1.roots, d2.roots
+    child1, child2 = d1.child, d2.child
+    act1, act2 = p1.actions, p2.actions
     o1, o2 = g.obs
-    r1 = Fraction(0)
-    r2 = Fraction(0)
+    n2 = g.action_counts[1]
+    v1 = v2 = 0
     contexts = {}
-    for s, p in g.start:
-        if g.is_terminal(s):
-            r1 += p * g.rewards[s][0]
-            r2 += p * g.rewards[s][1]
+    for s, p in ints.start:
+        r = rewards[s]
+        if r is None:
+            key = (s, root1[o1[s]], root2[o2[s]])
+            contexts[key] = contexts.get(key, 0) + p
         else:
-            key = (s, (o1[s],), (o2[s],))
-            contexts[key] = contexts.get(key, Fraction(0)) + p
-    while contexts:
+            v1 += p * r[0]
+            v2 += p * r[1]
+    level = 1
+    while True:
+        if layers is not None:
+            layers.append((sum(contexts.values()), v1))
+        if not contexts:
+            break
+        level += 1
+        v1 *= den
+        v2 *= den
         nxt = {}
-        for (s, seq1, seq2), w in contexts.items():
-            dist = g.transition(s, act1[seq1], act2[seq2])
-            for sp, q in dist:
+        for (s, i1, i2), w in contexts.items():
+            for sp, q in trans[s][act1[i1] * n2 + act2[i2]]:
                 wq = w * q
-                if g.is_terminal(sp):
-                    r1 += wq * g.rewards[sp][0]
-                    r2 += wq * g.rewards[sp][1]
+                r = rewards[sp]
+                if r is None:
+                    key = (sp, child1[i1][o1[sp]], child2[i2][o2[sp]])
+                    nxt[key] = nxt.get(key, 0) + wq
                 else:
-                    key = (sp, seq1 + (o1[sp],), seq2 + (o2[sp],))
-                    nxt[key] = nxt.get(key, Fraction(0)) + wq
+                    v1 += wq * r[0]
+                    v2 += wq * r[1]
         contexts = nxt
-    return r1, r2
+    pad = den ** (g.depth + 1 - level)
+    return v1 * pad, v2 * pad
+
+
+def evaluate_profile(g, p1, p2):
+    """Exact expected terminal rewards of a pure profile."""
+    v1, v2 = _forward(g, p1, p2)
+    scale = g.ints.scale
+    return Fraction(v1, scale), Fraction(v2, scale)
 
 
 def forward_masses(g, p1, p2):
@@ -390,42 +518,50 @@ def forward_masses(g, p1, p2):
     Diagnostic companion to evaluate_profile: at every depth the two
     components must sum exactly to 1.
     """
-    act1 = p1.as_mapping()
-    act2 = p2.as_mapping()
-    o1, o2 = g.obs
-    absorbed = Fraction(0)
-    contexts = {}
-    for s, p in g.start:
-        if g.is_terminal(s):
-            absorbed += p
-        else:
-            key = (s, (o1[s],), (o2[s],))
-            contexts[key] = contexts.get(key, Fraction(0)) + p
-    out = [(sum(contexts.values(), Fraction(0)), absorbed)]
-    while contexts:
-        nxt = {}
-        for (s, seq1, seq2), w in contexts.items():
-            for sp, q in g.transition(s, act1[seq1], act2[seq2]):
-                if g.is_terminal(sp):
-                    absorbed += w * q
-                else:
-                    key = (sp, seq1 + (o1[sp],), seq2 + (o2[sp],))
-                    nxt[key] = nxt.get(key, Fraction(0)) + w * q
-        contexts = nxt
-        out.append((sum(contexts.values(), Fraction(0)), absorbed))
+    unit = tuple([None if r is None else (1, 1) for r in g.rewards])
+    layers = []
+    _forward(g, p1, p2, rewards=unit, layers=layers)
+    den = g.ints.den
+    return [(Fraction(live, den ** level), Fraction(absorbed, den ** level))
+            for level, (live, absorbed) in enumerate(layers, 1)]
+
+
+def mixed_values(g, s1, s2, cache=None):
+    """Exact value pair of the mixed profile given by two [(PurePolicy,
+    weight)] supports: the bilinear extension of evaluate_profile, summed
+    as ints over one common denominator.  A `cache` dict keeps each pair's
+    forward pass, keyed by the two action tuples, across calls."""
+    l1 = _weight_lcm(s1)
+    l2 = _weight_lcm(s2)
+    v1 = v2 = 0
+    for p, wp in s1:
+        wp = wp.numerator * (l1 // wp.denominator)
+        for q, wq in s2:
+            if cache is None:
+                a, b = _forward(g, p, q)
+            else:
+                key = (p.actions, q.actions)
+                hit = cache.get(key)
+                if hit is None:
+                    hit = cache[key] = _forward(g, p, q)
+                a, b = hit
+            w = wp * wq.numerator * (l2 // wq.denominator)
+            v1 += w * a
+            v2 += w * b
+    scale = l1 * l2 * g.ints.scale
+    return Fraction(v1, scale), Fraction(v2, scale)
+
+
+def _weight_lcm(support):
+    out = 1
+    for _, w in support:
+        out = lcm(out, w.denominator)
     return out
 
 
 def evaluate_mixed(g, m1, m2):
     """Bilinear extension of evaluate_profile to mixed policies."""
-    r1 = Fraction(0)
-    r2 = Fraction(0)
-    for p1, w1 in m1.support:
-        for p2, w2 in m2.support:
-            v1, v2 = evaluate_profile(g, p1, p2)
-            r1 += w1 * w2 * v1
-            r2 += w1 * w2 * v2
-    return r1, r2
+    return mixed_values(g, m1.support, m2.support)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_force_best_responses, random_mixture
+from conftest import (
+    brute_force_best_responses,
+    mixed_denominator_mixtures,
+    random_mixture,
+    small_posgs,
+)
 from dolab.best_response import (
     best_response,
     count_best_responses,
@@ -19,6 +26,7 @@ from dolab.families import (
 from dolab.posg import (
     delta,
     mixed,
+    policy_count,
     policy_from_index,
     policy_index,
 )
@@ -86,6 +94,23 @@ def test_matches_brute_force(family, k, rng):
             assert res.count == len(opt)
             assert policy_index(g, res.witness) in opt
             assert policy_index(g, res.witness) == min(opt)  # lexicographic
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_matches_brute_force_mixed_denominators(data):
+    g = data.draw(st.one_of(
+        small_posgs(max_layers=2),
+        st.sampled_from([("MatchingPenniesChain", 4), ("Incrementing", 4),
+                         ("GuessTheString", 3)]).map(lambda fk: make_game(*fk))))
+    player = data.draw(st.sampled_from((1, 2)))
+    assume(policy_count(g, player) <= 600)
+    opp = data.draw(mixed_denominator_mixtures(g, 3 - player))
+    res = best_response(g, player, opp)
+    value, opt = brute_force_best_responses(g, player, opp)
+    assert type(res.value) is F and res.value == value
+    assert res.count == len(opt)
+    assert policy_index(g, res.witness) == min(opt)
 
 
 def test_is_best_response_examples():

@@ -1,3 +1,5 @@
+import functools
+import sys
 import threading
 from fractions import Fraction as F
 
@@ -5,6 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    mixed_denominator_mixtures,
+    oracle_evaluate_profile,
+    oracle_forward_masses,
+    oracle_mixed_values,
+    small_posgs,
+)
 from dolab.errors import (
     CyclicTransitionGraph,
     DanglingState,
@@ -18,6 +27,7 @@ from dolab.families import (
     bigger_number_posg,
     encode_policy_for,
     guess_the_string,
+    make_game,
     matching_pennies_chain,
     weak_bigger_number_posg,
 )
@@ -151,6 +161,16 @@ def test_evaluate_domain_mismatch():
                          policy_from_index(g1, 2, 0))
 
 
+def test_forward_masses_domain_mismatch():
+    g1 = guess_the_string(2)
+    with pytest.raises(DomainMismatch):
+        forward_masses(g1, policy_from_index(guess_the_string(3), 1, 0),
+                       policy_from_index(g1, 2, 0))
+    with pytest.raises(DomainMismatch):
+        forward_masses(g1, policy_from_index(g1, 2, 0),
+                       policy_from_index(g1, 2, 0))
+
+
 def test_mass_conservation():
     g = bigger_number_posg(3)
     p1 = policy_from_index(g, 1, 5)
@@ -269,21 +289,84 @@ def test_weak_dominance_keeps_duplicates():
 
 
 def test_thread_safety_smoke():
-    g = bigger_number_posg(3)
-    errors = []
+    # The threads make their first calls on a fresh game together, so the
+    # lazily built domain tables are built concurrently; a short switch
+    # interval makes the builds interleave.
+    template = bigger_number_posg(3)
+    profiles = [(policy_from_index(template, 1, i),
+                 policy_from_index(template, 2, 7 - i)) for i in range(8)]
+    expect = [oracle_evaluate_profile(template, p1, p2) for p1, p2 in profiles]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            g = bigger_number_posg(3)
+            barrier = threading.Barrier(4, timeout=30)
+            errors = []
+            results = []
 
-    def work():
-        try:
-            for i in range(8):
-                p1 = policy_from_index(g, 1, i)
-                p2 = policy_from_index(g, 2, 7 - i)
-                evaluate_profile(g, p1, p2)
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
+            def work():
+                try:
+                    barrier.wait()
+                    results.append([evaluate_profile(g, p1, p2)
+                                    for p1, p2 in profiles])
+                except Exception as exc:  # pragma: no cover
+                    errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors
+            assert results == [expect] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@functools.cache
+def family_game(family, k):
+    return make_game(family, k)
+
+
+# Incrementing k = 5 has probability denominator 6 and reward denominator
+# 10; MatchingPenniesChain k = 4 has probability denominator 4.
+KERNEL_FAMILIES = [("GuessTheString", 4), ("BiggerNumber", 4),
+                   ("WeakBiggerNumber", 4), ("MatchingPenniesChain", 4),
+                   ("Incrementing", 5)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FAMILIES), st.randoms(use_true_random=False))
+def test_kernel_matches_oracle_on_families(fk, rnd):
+    g = family_game(*fk)
+    p1 = policy_from_index(g, 1, rnd.randrange(policy_count(g, 1)))
+    p2 = policy_from_index(g, 2, rnd.randrange(policy_count(g, 2)))
+    assert evaluate_profile(g, p1, p2) == oracle_evaluate_profile(g, p1, p2)
+    assert forward_masses(g, p1, p2) == oracle_forward_masses(g, p1, p2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_posgs(), st.randoms(use_true_random=False))
+def test_kernel_matches_oracle_on_small_games(g, rnd):
+    p1 = policy_from_index(g, 1, rnd.randrange(policy_count(g, 1)))
+    p2 = policy_from_index(g, 2, rnd.randrange(policy_count(g, 2)))
+    got = evaluate_profile(g, p1, p2)
+    assert got == oracle_evaluate_profile(g, p1, p2)
+    assert all(type(v) is F for v in got)
+    masses = forward_masses(g, p1, p2)
+    assert masses == oracle_forward_masses(g, p1, p2)
+    assert all(live + absorbed == 1 for live, absorbed in masses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_mixed_matches_oracle(data):
+    g = data.draw(st.one_of(small_posgs(max_layers=2),
+                            st.sampled_from(KERNEL_FAMILIES).map(
+                                lambda fk: family_game(*fk))))
+    m1 = data.draw(mixed_denominator_mixtures(g, 1))
+    m2 = data.draw(mixed_denominator_mixtures(g, 2))
+    assert evaluate_mixed(g, m1, m2) == \
+        oracle_mixed_values(g, m1.support, m2.support)
