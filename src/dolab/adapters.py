@@ -56,8 +56,6 @@ class PosgAdapter:
     def best_response(self, player, opp_support, mode="lexicographic",
                       seed=None, candidate=None):
         opp = mixed(3 - player, opp_support)
-        if mode == "unique-or-fail":
-            return best_response(self.game, player, opp, "lexicographic")
         return best_response(self.game, player, opp, mode,
                              seed=seed, candidate=candidate)
 

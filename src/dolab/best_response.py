@@ -16,7 +16,6 @@ counting.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (
     DomainMismatch,
@@ -30,6 +29,7 @@ from .posg import (
     evaluate_mixed,
     indexed_domain,
 )
+from .rationals import as_ints
 
 DEFAULT_NODE_CAP = 1_000_000
 
@@ -76,11 +76,7 @@ class _Solver:
         self.memo = {}
         self.cap = cap
         self.opp_actions = [pol.actions for pol, _ in opp.support]
-        wden = 1
-        for _, w in opp.support:
-            wden = lcm(wden, w.denominator)
-        weights = [w.numerator * (wden // w.denominator)
-                   for _, w in opp.support]
+        weights, wden = as_ints([w for _, w in opp.support])
         self.scale = wden * ints.scale
 
         my_obs = g.obs[self.pi]

@@ -75,8 +75,10 @@ def _rational(text):
         raise ValueError(f"not a rational: {text!r}") from None
 
 
-def _resolve(args, config_keys):
-    """Flags > config file > argparse defaults (D23)."""
+def _resolve(args):
+    """Flags > config file > argparse defaults (D23).  A config key names
+    one of the subcommand's flags; other keys, and the parser's own `fn`
+    and `command`, are ignored."""
     resolved = dict(vars(args))
     path = resolved.pop("config", None)
     if path:
@@ -84,7 +86,8 @@ def _resolve(args, config_keys):
             overrides = json.load(fh)
         for key, value in overrides.items():
             key = key.replace("-", "_")
-            if key in config_keys and resolved.get(key) is None:
+            if key not in ("fn", "command") and key in resolved \
+                    and resolved[key] is None:
                 resolved[key] = value
     return resolved
 
@@ -162,10 +165,7 @@ def _game_header(cfg, game, family, k):
 
 
 def cmd_run(args):
-    cfg = _resolve(args, {"family", "k", "game", "algo", "eps", "alpha",
-                          "meta_nash", "best_response", "init", "seed",
-                          "max_iters", "rounds", "schedule", "out",
-                          "representation"})
+    cfg = _resolve(args)
     game, family, k = _build_game(cfg)
     init = _build_init(cfg, game, family, k)
     tiebreak = _build_tiebreak(cfg, game, family, k)
@@ -217,8 +217,7 @@ def cmd_run(args):
 
 
 def cmd_sweep(args):
-    cfg = _resolve(args, {"family", "k", "eps", "meta_nash", "best_response",
-                          "seeds", "schedule", "max_iters", "out", "parallel"})
+    cfg = _resolve(args)
     seeds = _parse_seeds(cfg.get("seeds"))
     stats, summaries, kept = sweep_double_oracle(
         cfg["family"], int(cfg["k"]), seeds,

@@ -441,6 +441,7 @@ def run_fictitious_play(game, rounds, tiebreak, init=None):
     if tiebreak.best_response_mode not in ("lexicographic", "seeded-random"):
         raise ValueError("fictitious play supports lexicographic or "
                          "seeded-random tiebreaking")
+    state = MetaState(adapter)  # _respond reads the adapter from it
     plays = ([p0[0]], [p0[1]])
     keys = ([adapter.policy_key(1, p0[0])], [adapter.policy_key(2, p0[1])])
     trace = FpTrace(algorithm="fp", config={
@@ -457,14 +458,8 @@ def run_fictitious_play(game, rounds, tiebreak, init=None):
             for pol, key in zip(plays[i], keys[i]):
                 acc[key] = (pol, acc.get(key, (pol, 0))[1] + 1)
             avgs.append([(pol, Fraction(cnt, t)) for pol, cnt in acc.values()])
-        if tiebreak.best_response_mode == "seeded-random":
-            r1 = adapter.best_response(1, avgs[1], "seeded-random",
-                                       seed=f"{tiebreak.seed}:{t}:1")
-            r2 = adapter.best_response(2, avgs[0], "seeded-random",
-                                       seed=f"{tiebreak.seed}:{t}:2")
-        else:
-            r1 = adapter.best_response(1, avgs[1], "lexicographic")
-            r2 = adapter.best_response(2, avgs[0], "lexicographic")
+        r1, _ = _respond(state, 1, avgs[1], tiebreak, t)
+        r2, _ = _respond(state, 2, avgs[0], tiebreak, t)
         v1, v2 = adapter.profile_values(avgs[0], avgs[1])
         expl = (r1.value - v1) + (r2.value - v2)
         key_avgs = (

@@ -28,19 +28,9 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import LpError
+from .rationals import as_ints
 
 _Q = Fraction  # the number type of every result; perfbench prints its name
-
-
-def _int_row(values):
-    """Rationals as (ints, den) with ints / den == values and den > 0: the
-    exact scaling by the lcm of their denominators."""
-    den = 1
-    for v in values:
-        d = v.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _reduced(ints, den):
@@ -132,7 +122,7 @@ def _simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
     extra = k + len(arts)
     rows, dens, basis = [], [], []
     for r, (coeffs, b) in enumerate(zip([*a_ub, *a_eq], rhs)):
-        row, den = _int_row([*coeffs, b])
+        row, den = as_ints([*coeffs, b])
         if b < 0:
             row = [-v for v in row]
         row[n:n] = [0] * extra
@@ -167,7 +157,7 @@ def _simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
         dens = [dens[r] for r in keep]
         basis = [basis[r] for r in keep]
 
-    obj, den = _int_row(c)
+    obj, den = as_ints(c)
     rows.append([-v for v in obj] + [0] * (k + 1))
     dens.append(den)
     _bland_iterate(rows, dens, basis, width)
@@ -243,7 +233,7 @@ def solve_linear_system(a, b):
     n = len(a)
     rows, dens = [], []
     for r in range(n):
-        row, den = _int_row([*a[r], b[r]])
+        row, den = as_ints([*a[r], b[r]])
         rows.append(row)
         dens.append(den)
     for col in range(n):

@@ -17,7 +17,6 @@ reduction, and the reverse embedding of a matrix game as a one-step game.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .errors import (
     CyclicTransitionGraph,
@@ -28,6 +27,7 @@ from .errors import (
     NonStochasticTransition,
     RewardOnNonterminal,
 )
+from .rationals import as_ints
 
 ObsSeq = tuple  # tuple of observation ids
 
@@ -64,7 +64,6 @@ class Posg:
         self.name = name
         self.notes = tuple(notes)
         self.ints = ints
-        self._domains = {}
         self._indexed = {}
 
     @property
@@ -105,22 +104,6 @@ def _frac(v):
     return v if type(v) is Fraction else Fraction(v)
 
 
-def _compile(start_items, trans, rewards, depth, den, rden):
-    return IntTables(
-        den, rden,
-        tuple([(s, p.numerator * (den // p.denominator))
-               for s, p in start_items]),
-        tuple([None if row is None else tuple([
-            tuple([(nxt, p.numerator * (den // p.denominator))
-                   for nxt, p in dist]) for dist in row])
-            for row in trans]),
-        tuple([None if r is None else
-               (r[0].numerator * (rden // r[0].denominator),
-                r[1].numerator * (rden // r[1].denominator))
-               for r in rewards]),
-        den ** (depth + 1) * rden)
-
-
 def build_posg(*, states, start, action_counts, transitions, observations,
                zero_sum=False, name="game", notes=()):
     """Validate a raw description and return a Posg.
@@ -132,26 +115,15 @@ def build_posg(*, states, start, action_counts, transitions, observations,
     """
     n = len(states)
     names = tuple(s[0] for s in states)
-    rewards = []
-    rden = 1
-    for _, r in states:
-        if r is None:
-            rewards.append(None)
-        else:
-            r = (_frac(r[0]), _frac(r[1]))
-            rden = lcm(rden, r[0].denominator, r[1].denominator)
-            rewards.append(r)
-    rewards = tuple(rewards)
+    rewards = tuple([None if r is None else (_frac(r[0]), _frac(r[1]))
+                     for _, r in states])
 
-    # Probabilities are converted once; signs and sums are checked on the
-    # numerators over each distribution's lcm denominator.
+    # Each distribution's sum is checked on its ints (as_ints).
     start_items = sorted((int(s), _frac(p)) for s, p in start.items())
-    if any(p.numerator < 0 for _, p in start_items):
+    start_ints, start_den = as_ints([p for _, p in start_items])
+    if any(m < 0 for m in start_ints):
         raise NonStochasticTransition("negative start probability")
-    den = 1
-    for _, p in start_items:
-        den = lcm(den, p.denominator)
-    if _numerator_sum(start_items, den) != den:
+    if sum(start_ints) != start_den:
         raise NonStochasticTransition("start distribution does not sum to 1")
 
     n1, n2 = action_counts
@@ -168,47 +140,41 @@ def build_posg(*, states, start, action_counts, transitions, observations,
         if rows[s] is None:
             rows[s] = [None] * (n1 * n2)
         entries = []
-        row_den = 1
         for nxt, p in dist.items():
             p = _frac(p)
-            if p.numerator < 0:
+            m = p.numerator
+            if m < 0:
                 raise NonStochasticTransition(
                     f"negative probability at {names[s]} ({a1},{a2})")
-            if p.numerator:
+            if m:
                 entries.append((int(nxt), p))
-                row_den = lcm(row_den, p.denominator)
-        total = _numerator_sum(entries, row_den)
+        entries.sort()
+        row_ints, row_den = as_ints([p for _, p in entries])
+        total = sum(row_ints)
         if total != row_den:
             raise NonStochasticTransition(
                 f"transition row at {names[s]} ({a1},{a2}) sums to "
                 f"{Fraction(total, row_den)}")
-        den = lcm(den, row_den)
-        entries.sort()
         rows[s][a1 * n2 + a2] = tuple(entries)
 
+    # Terminal states are exactly the sinks: a rewarded state has no rows
+    # (RewardOnNonterminal above) and every other state has all of them.
     for s in range(n):
-        if rewards[s] is None:
-            if rows[s] is None or any(r is None for r in rows[s]):
-                raise DanglingState(f"nonterminal state {names[s]} lacks transition rows")
-        else:
-            if rows[s] is not None:
-                raise DanglingState(f"terminal state {names[s]} has transitions")
+        if rewards[s] is None and (
+                rows[s] is None or any(r is None for r in rows[s])):
+            raise DanglingState(f"nonterminal state {names[s]} lacks transition rows")
     trans = tuple(tuple(r) if r is not None else None for r in rows)
 
     # Acyclicity (Kahn) and the longest path length.
-    succs = [set() for _ in range(n)]
+    succs = [()] * n
     indeg = [0] * n
     for s in range(n):
-        if trans[s] is None:
-            continue
-        for dist in trans[s]:
-            for nxt, _ in dist:
-                if nxt not in succs[s]:
-                    succs[s].add(nxt)
-                    indeg[nxt] += 1
-    order = [s for s in range(n) if indeg[s] == 0]
+        if trans[s] is not None:
+            succs[s] = {nxt for dist in trans[s] for nxt, _ in dist}
+            for nxt in succs[s]:
+                indeg[nxt] += 1
     topo = []
-    queue = list(order)
+    queue = [s for s in range(n) if indeg[s] == 0]
     while queue:
         s = queue.pop()
         topo.append(s)
@@ -223,11 +189,6 @@ def build_posg(*, states, start, action_counts, transitions, observations,
         for nxt in succs[s]:
             dist_from_root[nxt] = max(dist_from_root[nxt], dist_from_root[s] + 1)
     depth = max(dist_from_root, default=0)
-
-    # Terminal states are exactly the sinks.
-    for s in range(n):
-        if trans[s] is None and rewards[s] is None:
-            raise DanglingState(f"state {names[s]} is a sink without a reward")
 
     obs_maps = []
     for player in (0, 1):
@@ -245,26 +206,35 @@ def build_posg(*, states, start, action_counts, transitions, observations,
     if len(obs_ids) > n:
         raise GameValidationError("more observation ids than states")
 
-    ints = _compile(start_items, trans, rewards, depth, den, rden)
+    reward_ints, rden = as_ints(
+        [v for r in rewards if r is not None for v in r])
+    it = iter(reward_ints)
+    pairs = zip(it, it)  # consecutive (r1, r2)
+    int_rewards = tuple([None if r is None else next(pairs)
+                         for r in rewards])
     if zero_sum:
         for s in range(n):
-            r = ints.rewards[s]
+            r = int_rewards[s]
             if r is not None and r[0] + r[1] != 0:
                 raise GameValidationError(
                     f"zero_sum flag but rewards at {names[s]} sum to "
                     f"{rewards[s][0] + rewards[s][1]}")
+    # One scaling of every probability in the game gives the tables' den.
+    probs = [p for _, p in start_items]
+    probs += [p for row in trans if row is not None
+              for dist in row for _, p in dist]
+    prob_ints, den = as_ints(probs)
+    it = iter(prob_ints)
+    int_start = tuple([(s, next(it)) for s, _ in start_items])
+    int_trans = tuple([None if row is None else tuple([
+        tuple([(nxt, next(it)) for nxt, _ in dist]) for dist in row])
+        for row in trans])
+    tables = IntTables(den, rden, int_start, int_trans, int_rewards,
+                       den ** (depth + 1) * rden)
 
     return Posg(names, rewards, tuple(start_items), (n1, n2), trans,
                 tuple(obs_maps), depth, zero_sum, name=name, notes=notes,
-                ints=ints)
-
-
-def _numerator_sum(items, den):
-    """Sum of the (key, Fraction) items' values, as an int over den."""
-    total = 0
-    for _, p in items:
-        total += p.numerator * (den // p.denominator)
-    return total
+                ints=tables)
 
 
 def reachable_observation_sequences(g, player, cap=DEFAULT_ENUMERATION_CAP):
@@ -274,38 +244,20 @@ def reachable_observation_sequences(g, player, cap=DEFAULT_ENUMERATION_CAP):
     realizes it, which canonicalizes the policy domain to payoff-relevant
     sequences only.  Returned sorted (the canonical domain order).
     """
-    if player in g._domains:
-        return g._domains[player]
-    pi = player - 1
-    omap = g.obs[pi]
-    seen = set()
-    frontier = set()
-    for s, p in g.start:
-        if not g.is_terminal(s):
-            frontier.add((s, (omap[s],)))
-    while frontier:
-        seen |= frontier
-        if len(seen) > cap:
-            raise EnumerationCapExceeded(
-                f"more than {cap} reachable observation sequences")
-        nxt_frontier = set()
-        for s, seq in frontier:
-            for dist in g.transitions[s]:
-                for nxt, _ in dist:
-                    if not g.is_terminal(nxt):
-                        item = (nxt, seq + (omap[nxt],))
-                        if item not in seen:
-                            nxt_frontier.add(item)
-        frontier = nxt_frontier
-    domain = tuple(sorted({seq for _, seq in seen}))
-    g._domains[player] = domain
-    return domain
+    return indexed_domain(g, player, cap).seqs
+
+
+def _cap_exceeded(cap):
+    return EnumerationCapExceeded(
+        f"more than {cap} reachable observation sequences")
 
 
 @dataclass(frozen=True)
 class IndexedDomain:
     """One player's domain as indices into its canonical sorted tuple.
 
+    pairs: the number of reachable (state, sequence) pairs, which the
+      enumeration cap limits.
     roots: observation -> index of the length-1 sequence.
     child: per index, observation -> index of the extended sequence.
     children: per index, the child indices in domain order.
@@ -315,6 +267,7 @@ class IndexedDomain:
     """
 
     seqs: tuple
+    pairs: int
     roots: dict
     child: tuple
     children: tuple
@@ -322,12 +275,35 @@ class IndexedDomain:
     lift: tuple
 
 
-def indexed_domain(g, player):
-    """The player's IndexedDomain, built on first use and cached on g."""
+def indexed_domain(g, player, cap=DEFAULT_ENUMERATION_CAP):
+    """The player's IndexedDomain, built on first use and cached on g.
+    Raises EnumerationCapExceeded, on every call, when more than `cap`
+    (state, sequence) pairs are reachable."""
     hit = g._indexed.get(player)
     if hit is not None:
+        if hit.pairs > cap:
+            raise _cap_exceeded(cap)
         return hit
-    seqs = reachable_observation_sequences(g, player)
+    omap = g.obs[player - 1]
+    seen = set()
+    frontier = set()
+    for s, p in g.start:
+        if not g.is_terminal(s):
+            frontier.add((s, (omap[s],)))
+    while frontier:
+        seen |= frontier
+        if len(seen) > cap:
+            raise _cap_exceeded(cap)
+        nxt_frontier = set()
+        for s, seq in frontier:
+            for dist in g.transitions[s]:
+                for nxt, _ in dist:
+                    if not g.is_terminal(nxt):
+                        item = (nxt, seq + (omap[nxt],))
+                        if item not in seen:
+                            nxt_frontier.add(item)
+        frontier = nxt_frontier
+    seqs = tuple(sorted({seq for _, seq in seen}))
     index = {seq: i for i, seq in enumerate(seqs)}
     roots = {}
     child = [{} for _ in seqs]
@@ -343,7 +319,7 @@ def indexed_domain(g, player):
             sizes[i] += sizes[j]
     den = g.ints.den
     built = IndexedDomain(
-        seqs, roots, tuple(child),
+        seqs, len(seen), roots, tuple(child),
         tuple([tuple(sorted(c.values())) for c in child]), tuple(sizes),
         tuple([den ** (g.depth - len(seq)) for seq in seqs]))
     g._indexed[player] = built
@@ -440,7 +416,7 @@ def policy_index(g, policy):
 def check_policy(g, policy, player):
     if policy.player != player:
         raise DomainMismatch(f"expected a policy for player {player}")
-    if policy.domain != reachable_observation_sequences(g, player):
+    if policy.domain != indexed_domain(g, player).seqs:
         raise DomainMismatch("policy domain does not match the game")
     n = g.action_counts[player - 1]
     if any(not 0 <= a < n for a in policy.actions):
@@ -531,12 +507,11 @@ def mixed_values(g, s1, s2, cache=None):
     weight)] supports: the bilinear extension of evaluate_profile, summed
     as ints over one common denominator.  A `cache` dict keeps each pair's
     forward pass, keyed by the two action tuples, across calls."""
-    l1 = _weight_lcm(s1)
-    l2 = _weight_lcm(s2)
+    w1, l1 = as_ints([w for _, w in s1])
+    w2, l2 = as_ints([w for _, w in s2])
     v1 = v2 = 0
-    for p, wp in s1:
-        wp = wp.numerator * (l1 // wp.denominator)
-        for q, wq in s2:
+    for (p, _), wp in zip(s1, w1):
+        for (q, _), wq in zip(s2, w2):
             if cache is None:
                 a, b = _forward(g, p, q)
             else:
@@ -545,18 +520,11 @@ def mixed_values(g, s1, s2, cache=None):
                 if hit is None:
                     hit = cache[key] = _forward(g, p, q)
                 a, b = hit
-            w = wp * wq.numerator * (l2 // wq.denominator)
+            w = wp * wq
             v1 += w * a
             v2 += w * b
     scale = l1 * l2 * g.ints.scale
     return Fraction(v1, scale), Fraction(v2, scale)
-
-
-def _weight_lcm(support):
-    out = 1
-    for _, w in support:
-        out = lcm(out, w.denominator)
-    return out
 
 
 def evaluate_mixed(g, m1, m2):

@@ -1,14 +1,16 @@
-"""Exact-rational helpers: canonical "num/den" serialization.
+"""Exact-rational helpers: canonical "num/den" serialization and the one
+int scaling of the exact kernels.
 
-All arithmetic in the package uses fractions.Fraction; floats never enter
-any certification path.  Rationals are serialized as "num/den" with an
-explicit denominator so files round-trip bit-exactly.
+All arithmetic in the package is exact (fractions.Fraction at the API);
+floats never enter any certification path.  Rationals are serialized as
+"num/den" with an explicit denominator so files round-trip bit-exactly.
+as_ints puts a rational vector on ints over the lcm of its denominators;
+the LP tableau rows, the POSG int tables and the best-response weights are
+all built with it.
 """
 
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from math import gcd
 
 
 def fmt(q: Fraction) -> str:
@@ -23,3 +25,16 @@ def parse(text: str) -> Fraction:
     if not den:
         raise ValueError(f"not a num/den rational: {text!r}")
     return Fraction(int(num), int(den))
+
+
+def as_ints(values):
+    """A sequence of ints or Fractions as (ints, den), with
+    ints[i] / den == values[i] and den > 0 the lcm of their denominators."""
+    den = 1
+    for v in values:
+        d = v.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den

@@ -133,6 +133,17 @@ def test_config_file_precedence(tmp_path, capsys):
     assert rc == 0
     second = capsys.readouterr().out
     assert first != second
+    # a config key sets a run flag; the parser's own fn and command, and
+    # keys no flag has, are ignored
+    cfg.write_text(json.dumps({
+        "family": "WeakBiggerNumber", "k": 3, "algo": "do", "eps": "0/1",
+        "init": "0,0", "max-iters": 1, "fn": "generate",
+        "command": "generate", "no-such-flag": 1,
+    }))
+    assert run_cli("run", "--config", str(cfg)) == 1
+    assert "did not terminate within 1 iterations" in capsys.readouterr().err
+    assert run_cli("run", "--config", str(cfg), "--max-iters", "50") == 0
+    assert capsys.readouterr().out == first
 
 
 def test_sweep_and_trace_determinism(tmp_path):

@@ -143,6 +143,39 @@ def test_reachable_sequences_cap():
     assert len(reachable_observation_sequences(g, 1, cap=100)) == 4
 
 
+@pytest.mark.parametrize("family, k, player", [
+    ("BiggerNumber", 5, 1),
+    ("MatchingPenniesChain", 3, 2),
+    ("GuessTheString", 3, 1),
+])
+def test_reachable_sequences_cap_checked_on_every_call(family, k, player):
+    # A cached domain answers a smaller cap exactly as a fresh game does.
+    pairs = None
+    for cap in range(0, 40):
+        try:
+            reachable_observation_sequences(make_game(family, k), player,
+                                            cap=cap)
+        except EnumerationCapExceeded:
+            continue
+        pairs = cap
+        break
+    assert pairs is not None
+    g = make_game(family, k)
+    domain = reachable_observation_sequences(g, player)
+    for cap in range(pairs):
+        with pytest.raises(EnumerationCapExceeded):
+            reachable_observation_sequences(g, player, cap=cap)
+    assert reachable_observation_sequences(g, player, cap=pairs) == domain
+    assert reachable_observation_sequences(g, player) == domain
+
+
+def test_reachable_sequences_small_cap_after_default_call():
+    g = bigger_number_posg(5)
+    assert len(reachable_observation_sequences(g, 1)) == 5
+    with pytest.raises(EnumerationCapExceeded):
+        reachable_observation_sequences(g, 1, cap=2)
+
+
 def test_evaluate_profile_examples():
     g = guess_the_string(2)
     p = lambda pl, x: encode_policy_for("GuessTheString", 2, pl, x, game=g)
