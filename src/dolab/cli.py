@@ -77,8 +77,9 @@ def _rational(text):
 
 def _resolve(args):
     """Flags > config file > argparse defaults (D23).  A config key names
-    one of the subcommand's flags; other keys, and the parser's own `fn`
-    and `command`, are ignored."""
+    one of the subcommand's flags whose value was not given; other keys are
+    ignored.  The parser's own `fn` and `command` are never None, so a
+    config file cannot set them either."""
     resolved = dict(vars(args))
     path = resolved.pop("config", None)
     if path:
@@ -86,8 +87,7 @@ def _resolve(args):
             overrides = json.load(fh)
         for key, value in overrides.items():
             key = key.replace("-", "_")
-            if key not in ("fn", "command") and key in resolved \
-                    and resolved[key] is None:
+            if key in resolved and resolved[key] is None:
                 resolved[key] = value
     return resolved
 

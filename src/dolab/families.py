@@ -29,8 +29,8 @@ from .posg import (
     NormalFormGame,
     PurePolicy,
     build_posg,
+    indexed_domain,
     normal_form,
-    reachable_observation_sequences,
 )
 
 FAMILIES = (
@@ -567,7 +567,7 @@ def encode_policy(family, k, index, game=None):
         if not 0 <= index < 2 ** k:
             raise IndexOutOfRange(f"index {index} outside [0, 2^{k})")
         bits = _int_to_bits(index, k)
-        p1 = PurePolicy(1, reachable_observation_sequences(g, 1), bits)
+        p1 = PurePolicy(1, indexed_domain(g, 1).seqs, bits)
         return p1
     # Incrementing: root run action plus the true bit at every index node.
     if not 0 <= index < 2 ** k:
@@ -575,7 +575,7 @@ def encode_policy(family, k, index, game=None):
     bits = _int_to_bits(index, k)
     b, l = trailing_run(bits)
     actions = (action_of_run(b, l),) + bits[: k - 2]
-    domain = reachable_observation_sequences(g, 1)
+    domain = indexed_domain(g, 1).seqs
     return PurePolicy(1, domain, actions)
 
 
@@ -585,7 +585,7 @@ def encode_policy_for(family, k, player, index, game=None):
     if player == 1:
         return p
     g = game if game is not None else make_game(family, k)
-    return PurePolicy(2, reachable_observation_sequences(g, 2), p.actions)
+    return PurePolicy(2, indexed_domain(g, 2).seqs, p.actions)
 
 
 def decode_policy(family, k, policy, game=None):

@@ -243,8 +243,13 @@ def reachable_observation_sequences(g, player, cap=DEFAULT_ENUMERATION_CAP):
     A sequence is included when some pure profile and chance outcome
     realizes it, which canonicalizes the policy domain to payoff-relevant
     sequences only.  Returned sorted (the canonical domain order).
+    Raises EnumerationCapExceeded, on every call, when more than `cap`
+    (state, sequence) pairs are reachable.
     """
-    return indexed_domain(g, player, cap).seqs
+    d = indexed_domain(g, player, cap)
+    if d.pairs > cap:
+        raise _cap_exceeded(cap)
+    return d.seqs
 
 
 def _cap_exceeded(cap):
@@ -275,15 +280,16 @@ class IndexedDomain:
     lift: tuple
 
 
-def indexed_domain(g, player, cap=DEFAULT_ENUMERATION_CAP):
+def indexed_domain(g, player, cap=None):
     """The player's IndexedDomain, built on first use and cached on g.
-    Raises EnumerationCapExceeded, on every call, when more than `cap`
-    (state, sequence) pairs are reachable."""
+    The first build raises EnumerationCapExceeded when more than `cap`
+    (default DEFAULT_ENUMERATION_CAP) (state, sequence) pairs are
+    reachable; a cached domain is returned whatever `cap` is."""
     hit = g._indexed.get(player)
     if hit is not None:
-        if hit.pairs > cap:
-            raise _cap_exceeded(cap)
         return hit
+    if cap is None:
+        cap = DEFAULT_ENUMERATION_CAP
     omap = g.obs[player - 1]
     seen = set()
     frontier = set()
@@ -384,14 +390,14 @@ def mixed(player, pairs):
 
 
 def policy_count(g, player):
-    domain = reachable_observation_sequences(g, player)
+    domain = indexed_domain(g, player).seqs
     return g.action_counts[player - 1] ** len(domain)
 
 
 def policy_from_index(g, player, index):
     """Canonical bijection index -> policy: mixed radix, first domain
     element most significant, so numeric order is lexicographic order."""
-    domain = reachable_observation_sequences(g, player)
+    domain = indexed_domain(g, player).seqs
     base = g.action_counts[player - 1]
     total = base ** len(domain)
     if not 0 <= index < total:

@@ -35,6 +35,4 @@ def as_ints(values):
         d = v.denominator
         if den % d:
             den = den // gcd(den, d) * d
-    if den == 1:
-        return [v.numerator for v in values], 1
     return [v.numerator * (den // v.denominator) for v in values], den

@@ -14,6 +14,8 @@ from conftest import (
     oracle_mixed_values,
     small_posgs,
 )
+import dolab.posg
+from dolab.best_response import best_response
 from dolab.errors import (
     CyclicTransitionGraph,
     DanglingState,
@@ -169,9 +171,21 @@ def test_reachable_sequences_cap_checked_on_every_call(family, k, player):
     assert reachable_observation_sequences(g, player) == domain
 
 
-def test_reachable_sequences_small_cap_after_default_call():
+def test_large_cap_call_lets_evaluation_use_the_game(monkeypatch):
+    # A game over the default cap works once a caller with a larger cap
+    # has enumerated its domains.
+    ref = bigger_number_posg(5)
+    p1, p2 = policy_from_index(ref, 1, 3), policy_from_index(ref, 2, 5)
+    value = evaluate_profile(ref, p1, p2)
+    monkeypatch.setattr(dolab.posg, "DEFAULT_ENUMERATION_CAP", 2)
+    with pytest.raises(EnumerationCapExceeded):
+        evaluate_profile(bigger_number_posg(5), p1, p2)
     g = bigger_number_posg(5)
-    assert len(reachable_observation_sequences(g, 1)) == 5
+    assert len(reachable_observation_sequences(g, 1, cap=100)) == 5
+    assert len(reachable_observation_sequences(g, 2, cap=100)) == 5
+    assert evaluate_profile(g, p1, p2) == value
+    assert best_response(g, 1, mixed(2, [(p2, 1)])).witness.player == 1
+    assert policy_from_index(g, 1, 3) == p1
     with pytest.raises(EnumerationCapExceeded):
         reachable_observation_sequences(g, 1, cap=2)
 
