@@ -53,7 +53,7 @@ class _Solver:
     is an int over one common scale, so values compare exactly.
     """
 
-    def __init__(self, g, player, opp, cap=DEFAULT_NODE_CAP):
+    def __init__(self, g, player, opp):
         if opp.player == player:
             raise DomainMismatch("opponent mixture is for the wrong player")
         for pol, _ in opp.support:
@@ -74,7 +74,7 @@ class _Solver:
         self.opp_child = other.child
         self.free_factor = [self.n_actions ** n for n in own.sizes]
         self.memo = {}
-        self.cap = cap
+        self.cap = DEFAULT_NODE_CAP
         self.opp_actions = [pol.actions for pol, _ in opp.support]
         weights, wden = as_ints([w for _, w in opp.support])
         self.scale = wden * ints.scale
@@ -226,14 +226,14 @@ def _freeze(ctx):
 
 
 def best_response(g, player, opp, select="lexicographic", seed=None,
-                  candidate=None, cap=DEFAULT_NODE_CAP):
+                  candidate=None):
     """Optimal value, witness, and count against a mixed opponent policy.
 
     select: "lexicographic" (canonically smallest optimal policy),
     "seeded-random" (exactly uniform over the optimal set via counting),
     or "scripted" (certify `candidate` attains the optimum and return it).
     """
-    solver = _Solver(g, player, opp, cap=cap)
+    solver = _Solver(g, player, opp)
     value, count = solver.value_and_count()
     if select == "scripted":
         if candidate is None:
@@ -259,14 +259,14 @@ def _value_against(g, player, policy, opp):
     return evaluate_mixed(g, *pair)[player - 1]
 
 
-def best_response_value(g, player, opp, cap=DEFAULT_NODE_CAP):
-    solver = _Solver(g, player, opp, cap=cap)
+def best_response_value(g, player, opp):
+    solver = _Solver(g, player, opp)
     return solver.value_and_count()[0]
 
 
-def count_best_responses(g, player, opp, cap=DEFAULT_NODE_CAP):
+def count_best_responses(g, player, opp):
     """Exact number of pure best responses to the opponent mixture."""
-    solver = _Solver(g, player, opp, cap=cap)
+    solver = _Solver(g, player, opp)
     return solver.value_and_count()[1]
 
 

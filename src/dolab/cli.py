@@ -183,12 +183,12 @@ def cmd_run(args):
         trace = run_alpha_double_oracle(game, eps, alpha, tiebreak,
                                         max_iters=cfg.get("max_iters"),
                                         init=init)
-    elif algo == "fp":
-        trace = run_fictitious_play(game, int(cfg.get("rounds") or 100),
-                                    tiebreak, init=init)
-    elif algo == "brd":
-        trace = run_best_response_dynamics(game, int(cfg.get("rounds") or 100),
-                                           tiebreak, init=init)
+    elif algo in ("fp", "brd"):
+        rounds = cfg.get("rounds")
+        run = (run_fictitious_play if algo == "fp"
+               else run_best_response_dynamics)
+        trace = run(game, 100 if rounds is None else int(rounds), tiebreak,
+                    init=init)
     else:
         raise InvalidFamily(f"unknown algorithm {algo!r}")
     if cfg.get("out"):
@@ -254,12 +254,16 @@ def _parse_seeds(spec):
     if spec is None:
         raise InvalidFamily("sweep needs --seeds (count or comma list)")
     spec = str(spec)
-    if "," in spec:
-        return [int(s) for s in spec.split(",")]
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return list(range(int(spec)))
+    try:
+        if "," in spec:
+            return [int(s) for s in spec.split(",")]
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return list(range(int(spec)))
+    except ValueError:
+        raise ValueError(f'--seeds expects a count, "lo..hi" or a comma list '
+                         f'of integers, got {spec!r}') from None
 
 
 def cmd_verify_theorem(args):
@@ -386,7 +390,10 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit_:  # argparse exits 2 on a usage error
+        return EXIT_CONFIG if exit_.code else EXIT_OK
     try:
         return args.fn(args)
     except LEGALITY_ERRORS as err:

@@ -214,10 +214,10 @@ def _scripted_vector(state, player, pairs, t):
 
 
 def _solve_meta(state, tiebreak, t):
-    """Meta-Nash profile as weight vectors; returns (x, y, unique, mode).
-
-    A scripted profile is certified by the caller, from the same payoffs
-    call that gives the iteration's meta values.
+    """Meta-Nash profile as weight vectors, with its exact meta values;
+    returns (x, y, values, unique, mode).  Each profile is certified once:
+    the LP and support enumeration certify their own solutions, and the
+    payoffs call that values a scripted profile certifies it.
     """
     mode = tiebreak.meta_nash_mode
     if mode == "scripted":
@@ -225,7 +225,12 @@ def _solve_meta(state, tiebreak, t):
         if scripted is not None:
             x = _scripted_vector(state, 1, scripted[0], t)
             y = _scripted_vector(state, 2, scripted[1], t)
-            return x, y, None, "scripted-certified"
+            rows, cols, values = lp.payoffs(state.v1, state.v2, x, y)
+            if max(rows) != values[0] or max(cols) != values[1]:
+                raise IllegalScriptedMetaNash(
+                    f"iteration {t}: scripted profile has meta improvements "
+                    f"({max(rows) - values[0]}, {max(cols) - values[1]})")
+            return x, y, values, None, "scripted-certified"
         mode = "lexicographic"
     if not state.adapter.zero_sum:
         if mode == "unique-or-fail":
@@ -234,8 +239,9 @@ def _solve_meta(state, tiebreak, t):
         eq = next(iter_nash_bimatrix(nfg, max_support=min(nfg.shape)), None)
         if eq is None:
             raise DolabError("support enumeration found no meta equilibrium")
-        return list(eq.row_strategy), list(eq.col_strategy), None, "enumerated"
-    x, y, _ = lp.zero_sum_strategies(state.v1)
+        return (list(eq.row_strategy), list(eq.col_strategy), eq.values,
+                None, "enumerated")
+    x, y, value = lp.zero_sum_strategies(state.v1)
     unique = None
     if mode == "unique-or-fail":
         if not is_unique_pair(state.v1, x, y):
@@ -244,7 +250,7 @@ def _solve_meta(state, tiebreak, t):
                 f"iteration {t}: meta-Nash strategies are not unique "
                 f"(witness for player {cert.witness[0]})")
         unique = True
-    return x, y, unique, mode
+    return x, y, (value, -value), unique, mode  # zero-sum: v2 == -v1
 
 
 def _respond(state, player, opp_support, tiebreak, t):
@@ -345,13 +351,7 @@ def _oracle_loop(game, eps, tiebreak, max_iters, init, alpha, algorithm):
         if uses_schedule and not tiebreak.schedule.covers(t):
             trace.status = "schedule_exhausted"
             break
-        x, y, meta_unique, meta_mode = _solve_meta(state, tiebreak, t)
-        rows, cols, mv = lp.payoffs(state.v1, state.v2, x, y)
-        if meta_mode == "scripted-certified" and \
-                (max(rows) != mv[0] or max(cols) != mv[1]):
-            raise IllegalScriptedMetaNash(
-                f"iteration {t}: scripted profile has meta improvements "
-                f"({max(rows) - mv[0]}, {max(cols) - mv[1]})")
+        x, y, mv, meta_unique, meta_mode = _solve_meta(state, tiebreak, t)
         supp1 = state.support(1, x)
         supp2 = state.support(2, y)
         r1, scripted1 = _respond(state, 1, supp2, tiebreak, t)

@@ -177,17 +177,18 @@ def is_unique_pair(v, x, y):
 
 
 def _face_witness(matrix, value, base):
-    """The first coordinate probe (a two-phase LP) that finds a row strategy
-    x on the optimal face {x : x' matrix >= value} with more weight than
-    base on that row, or None when the face is {base}."""
+    """The first coordinate probe that finds a row strategy on the optimal
+    face {x : x' matrix >= value} with more weight than base on that row,
+    or None when the face is {base}.  Probe i maximizes x_i over the face
+    scaled by [0, 1], {x >= 0 : x'(value - matrix) <= 0, 1'x <= 1}, whose
+    points are s f with f optimal and 0 <= s <= 1: its optimum is the
+    face's max f_i, and one above base[i] >= 0 has 1'x = 1, so is optimal.
+    """
     m = len(matrix)
-    a_ub = [[-a for a in col] for col in zip(*matrix)]
-    b_ub = [-value] * len(a_ub)
+    a_ub = [[value - a for a in col] for col in zip(*matrix)] + [[1] * m]
+    b_ub = [0] * (len(a_ub) - 1) + [1]
     for i in range(m):
-        c = [Fraction(0)] * m
-        c[i] = Fraction(1)
-        probe, best = lp.maximize(c, a_ub, b_ub, [[Fraction(1)] * m],
-                                  [Fraction(1)])
+        probe, best = lp.maximize([int(j == i) for j in range(m)], a_ub, b_ub)
         if best > base[i]:
             return tuple(probe)
     return None

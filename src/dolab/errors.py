@@ -70,4 +70,4 @@ class MissingTraces(DolabError):
 
 
 class LpError(DolabError):
-    """Exact LP solver failure (infeasible or unbounded program)."""
+    """Exact LP solver failure (unbounded, negative rhs, failed certificate)."""

@@ -9,13 +9,14 @@ the gcd of its entries and its denominator (Edmonds 1967; Bareiss 1968).
 Signs and ratios read from the ints are those of the rational tableau, so
 Bland's rule makes the same pivots as on Fractions.  Inputs are ints or
 Fractions, every result is a Fraction, and no Fraction arithmetic runs
-inside a pivot.  One driver (_simplex) builds every tableau; it runs
-phase 1 only when a row needs an artificial variable.  Two entry points:
+inside a pivot.  One driver (_simplex) builds every tableau: <= rows with
+a nonnegative rhs, started from the slack basis, so no phase 1.  Two
+entry points:
 
   * zero_sum_strategies: one shifted primal solve per game, strategies for
     both players read from the final tableau (primal solution + duals).
-  * maximize: the general two-phase solve; it probes the optimal face for
-    a witness once uniqueness has been refuted.
+  * maximize: probes the optimal face, scaled by [0, 1], for a witness
+    once uniqueness has been refuted.
 
 solve_linear_system is Gauss-Jordan elimination on the simplex's row
 operation (_pivot); it backs support enumeration and the uniqueness
@@ -67,17 +68,14 @@ def _pivot(rows, dens, pr, pc):
 
 
 def _bland_iterate(rows, dens, basis, width):
-    """Price out the basic columns, then run simplex to optimality on a
-    feasible tableau (objective row last).
+    """Run simplex to optimality on a feasible tableau whose objective row
+    (last) is zero on every basic column.
 
     Minimization convention: optimal when every reduced cost is >= 0.
     Every denominator is positive, so signs are read from the ints, and a
     row's ratio rhs / entry does not depend on its denominator.
     """
     obj = len(rows) - 1
-    for r, b in enumerate(basis):
-        if rows[obj][b] != 0:
-            _pivot(rows, dens, r, b)
     while True:
         objrow = rows[obj]
         pc = -1
@@ -102,64 +100,28 @@ def _bland_iterate(rows, dens, basis, width):
         basis[pr] = pc
 
 
-def _simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
-    """Maximize c'x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
-
-    Returns (x, value, duals), where duals[i] is the exact dual multiplier
-    of the i-th <= constraint: the objective-row entry of its slack column.
-    With b_ub >= 0 and no equalities the slack basis is feasible and
-    phase 1 is skipped.
+def _simplex(c, a_ub, b_ub):
+    """Maximize c'x subject to a_ub x <= b_ub, x >= 0, from the slack
+    basis, so b_ub >= 0 (a negative rhs raises LpError).  Returns
+    (x, value, duals), where duals[i] is the exact dual multiplier of row
+    i: the objective-row entry of its slack column.
     """
     n, k = len(c), len(a_ub)
     width = n + k
-    # Columns: n structural, one slack per inequality, then an artificial
-    # for each equality and each row whose rhs is negative.  Such rows are
-    # negated to a nonnegative rhs, slack included, so the slack's reduced
-    # cost is still the row's dual.  The initial basis, in row order, is
-    # the row's artificial where it has one, else its slack.
-    rhs = [*b_ub, *b_eq]
-    arts = [r for r, b in enumerate(rhs) if r >= k or b < 0]
-    extra = k + len(arts)
-    rows, dens, basis = [], [], []
-    for r, (coeffs, b) in enumerate(zip([*a_ub, *a_eq], rhs)):
+    # Columns: n structural, then one slack per row, basic in row order.
+    rows, dens = [], []
+    for r, (coeffs, b) in enumerate(zip(a_ub, b_ub)):
         row, den = as_ints([*coeffs, b])
-        if b < 0:
-            row = [-v for v in row]
-        row[n:n] = [0] * extra
-        if r < k:
-            row[n + r] = -den if b < 0 else den
-        basis.append(n + r)
+        if row[-1] < 0:
+            raise LpError(f"row {r} has a negative rhs {b}: no slack basis")
+        row[n:n] = [0] * k
+        row[n + r] = den
         rows.append(row)
         dens.append(den)
-    for a, r in enumerate(arts):
-        basis[r] = width + a
-        rows[r][basis[r]] = dens[r]
-
-    if arts:
-        rows.append([0] * width + [1] * len(arts) + [0])
-        dens.append(1)
-        _bland_iterate(rows, dens, basis, width + len(arts))
-        if rows[-1][-1] != 0:
-            raise LpError("infeasible linear program")
-        rows.pop()
-        dens.pop()
-        # Drive remaining artificials out of the basis.  A row none can
-        # leave reads 0 = 0 (a redundant equality): drop it, then drop the
-        # artificial columns.
-        for r, b in enumerate(basis):
-            if b >= width:
-                pc = next((j for j in range(width) if rows[r][j] != 0), None)
-                if pc is not None:
-                    _pivot(rows, dens, r, pc)
-                    basis[r] = pc
-        keep = [r for r, b in enumerate(basis) if b < width]
-        rows = [rows[r][:width] + [rows[r][-1]] for r in keep]
-        dens = [dens[r] for r in keep]
-        basis = [basis[r] for r in keep]
-
     obj, den = as_ints(c)
     rows.append([-v for v in obj] + [0] * (k + 1))
     dens.append(den)
+    basis = list(range(n, width))
     _bland_iterate(rows, dens, basis, width)
 
     # A row holds its denominator in its basic column (1 as a rational),
@@ -173,9 +135,9 @@ def _simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
     return x, Fraction(objrow[-1], den), duals
 
 
-def maximize(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """Maximize c'x over {x >= 0 : a_ub x <= b_ub, a_eq x = b_eq}."""
-    return _simplex(c, a_ub, b_ub, a_eq, b_eq)[:2]
+def maximize(c, a_ub, b_ub):
+    """Maximize c'x over {x >= 0 : a_ub x <= b_ub}, where b_ub >= 0."""
+    return _simplex(c, a_ub, b_ub)[:2]
 
 
 def payoffs(v1, v2, x, y):

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction as F
 
 import pytest
@@ -15,7 +16,11 @@ from dolab.best_response import (
     count_best_responses,
     is_best_response,
 )
-from dolab.errors import DomainMismatch, ScriptedCandidateSuboptimal
+from dolab.errors import (
+    DomainMismatch,
+    EnumerationCapExceeded,
+    ScriptedCandidateSuboptimal,
+)
 from dolab.families import (
     bigger_number_posg,
     encode_policy_for,
@@ -177,3 +182,16 @@ def test_wrong_player_mixture():
     own = delta(enc("BiggerNumber", 2, 2, 0, g))
     with pytest.raises(DomainMismatch):
         best_response(g, 2, own)
+
+
+def test_node_cap(monkeypatch):
+    # the package binds the name best_response to the function, so the
+    # module is fetched by its full name
+    module = importlib.import_module("dolab.best_response")
+    g = matching_pennies_chain(3)
+    opp = delta(enc("MatchingPenniesChain", 3, 1, 0, g))
+    monkeypatch.setattr(module, "DEFAULT_NODE_CAP", 1)
+    with pytest.raises(EnumerationCapExceeded, match="node cap"):
+        best_response(g, 2, opp)
+    with pytest.raises(EnumerationCapExceeded):
+        count_best_responses(g, 2, opp)

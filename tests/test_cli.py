@@ -146,6 +146,47 @@ def test_config_file_precedence(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("argv", [
+    ("run", "--algo", "bogus"),
+    ("verify-theorem",),
+    ("no-such-command",),
+])
+def test_usage_errors_exit_config(argv, capsys):
+    # 2 is reserved for legality and uniqueness failures
+    assert run_cli(*argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_ok(capsys):
+    assert run_cli("--help") == 0
+    assert run_cli("run", "--help") == 0
+    assert "usage: dolab" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("algo", ["fp", "brd"])
+def test_zero_rounds_rejected(algo, tmp_path, capsys):
+    game = ("--family", "MatchingPenniesChain", "--k", "2", "--algo", algo,
+            "--init", "0,0")
+    assert run_cli("run", *game, "--rounds", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rounds must be >= 1\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rounds": 0}))
+    assert run_cli("run", *game, "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == "error: rounds must be >= 1\n"
+
+
+@pytest.mark.parametrize("seeds", ["x", "0..x", "1,y", "1..2..3"])
+def test_sweep_rejects_malformed_seeds(seeds, capsys):
+    rc = run_cli("sweep", "--family", "BiggerNumber", "--k", "2",
+                 "--seeds", seeds)
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f'error: --seeds expects a count, "lo..hi" or a comma list of '
+        f'integers, got {seeds!r}\n')
+
+
 def test_sweep_and_trace_determinism(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dolab.equilibrium import _face_witness
 from dolab.errors import LpError
 from dolab.lp import (
     _simplex,
@@ -62,34 +63,11 @@ def test_maximize_inequalities():
     assert x == [F(3), F(1, 2)]
 
 
-def test_equality_constraints():
-    x, v = maximize([F(0), F(0), F(1)],
-                    a_eq=[[F(1), F(1), F(1)], [F(1), F(0), F(0)]],
-                    b_eq=[F(1), F(1, 3)])
-    assert v == F(2, 3)
-    assert sum(x) == 1
-
-
-def test_negative_rhs_round_trip():
-    # min x s.t. x >= 2, as max -x s.t. -x <= -2
-    x, v = maximize([F(-1)], a_ub=[[F(-1)]], b_ub=[F(-2)])
-    assert x == [F(2)]
-    assert v == -2
-
-
-def test_infeasible():
-    with pytest.raises(LpError):
-        maximize([F(-1)], a_eq=[[F(1)], [F(1)]], b_eq=[F(1), F(2)])
-
-
-def test_redundant_equalities():
-    # the artificials of repeated equalities cannot leave the phase-1
-    # basis; their rows are dropped, not read past the tableau's end
-    for a_eq, b_eq in (([[F(1), F(1)]] * 3, [F(1)] * 3),
-                       ([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)])):
-        x, v = maximize([F(1), F(0)], a_eq=a_eq, b_eq=b_eq)
-        assert x == [F(1), F(0)]
-        assert v == 1
+def test_negative_rhs_raises():
+    # the slack basis is the one start, so it must be feasible
+    for b_ub in ([F(-2)], [F(1), F(-1, 3)]):
+        with pytest.raises(LpError, match="negative rhs"):
+            maximize([F(-1)], a_ub=[[F(-1)]] * len(b_ub), b_ub=b_ub)
 
 
 def test_unbounded():
@@ -229,7 +207,9 @@ def oracle_bland(rows, basis, width):
 
 def oracle_simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
     """The two-phase Fraction-tableau simplex lp._simplex ran before its
-    integer rows: same columns, same initial basis, same Bland pivots."""
+    integer rows and its one slack-basis start: on <= rows with b >= 0 it
+    makes the same Bland pivots, and it still solves the equality-row
+    face probes that equilibrium._face_witness replaced."""
     n, k = len(c), len(a_ub)
     width = n + k
     rows, basis, art_rows = [], [], []
@@ -322,19 +302,20 @@ def test_linear_system_matches_gauss_jordan(system):
 
 @st.composite
 def feasible_leq_lps(draw):
-    """Bounded <=-only LPs around a feasible point x0; rows may have b < 0."""
+    """Bounded <=-only LPs around a feasible point x0, with b >= 0."""
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 4))
     x0 = [abs(draw(SMALL)) for _ in range(n)]
     a = [[draw(SMALL) for _ in range(n)] for _ in range(m)] + [[1] * n]
-    b = [sum(v * w for v, w in zip(row, x0)) + abs(draw(SMALL)) for row in a]
+    b = [abs(sum(v * w for v, w in zip(row, x0))) + abs(draw(SMALL))
+         for row in a]
     return [draw(SMALL) for _ in range(n)], a, b
 
 
 @settings(max_examples=300, deadline=None)
 @given(feasible_leq_lps())
-@example(([-1], [[-1], [1]], [-2, 5]))
-@example(([1, -1], [[-1, -1], [1, 0], [1, 1]], [-1, 2, 3]))
+@example(([-1], [[-1], [1]], [0, 5]))
+@example(([1, -1], [[-1, -1], [1, 0], [1, 1]], [0, 2, 3]))
 def test_simplex_duals_certify_optimality(lp):
     c, a, b = lp
     x, value, duals = _simplex(c, a, b)
@@ -353,30 +334,74 @@ RATIONAL = st.builds(lambda num, den: F(num, den),
 
 
 @st.composite
-def general_lps(draw):
-    """Mixed-sign right-hand sides and equality rows, sometimes repeated,
-    so phase 1 runs on fractional input."""
+def fractional_leq_lps(draw):
+    """<=-only LPs on mixed denominators with b >= 0, rows sometimes
+    repeated (a degenerate vertex)."""
     n = draw(st.integers(1, 4))
     row = st.lists(RATIONAL, min_size=n, max_size=n)
     a_ub = draw(st.lists(row, max_size=4))
-    a_eq = draw(st.lists(row, max_size=3))
-    b_ub = [draw(RATIONAL) for _ in a_ub]
-    b_eq = [draw(RATIONAL) for _ in a_eq]
-    if a_eq and draw(st.booleans()):
-        a_eq.append(a_eq[0])
-        b_eq.append(b_eq[0])
+    b_ub = [abs(draw(RATIONAL)) for _ in a_ub]
+    if a_ub and draw(st.booleans()):
+        a_ub.append(a_ub[0])
+        b_ub.append(b_ub[0])
     if draw(st.booleans()):  # bounded: sum(x) <= b
         a_ub.append([1] * n)
         b_ub.append(abs(draw(RATIONAL)))
-    return [draw(RATIONAL) for _ in range(n)], a_ub, b_ub, a_eq, b_eq
+    return [draw(RATIONAL) for _ in range(n)], a_ub, b_ub
 
 
 @settings(max_examples=400, deadline=None)
-@given(general_lps())
-@example(([1, 0], [], [], [[1, 1]] * 3, [1] * 3))     # redundant equalities
-@example(([F(-1)], [[F(-1, 2)]], [F(-2, 3)], [], []))  # negative rhs
-@example(([1], [], [], [[1], [1]], [1, 2]))            # infeasible
-@example(([1], [[-1]], [F(1, 5)], [], []))             # unbounded
-@example(([2, -2], [[2, -2]], [2], [[2, 0]], [2]))      # the ratio test ties
+@given(fractional_leq_lps())
+@example(([1], [[-1]], [F(1, 5)]))                # unbounded
+@example(([2, -2], [[2, -2], [2, 0]], [2, 2]))    # the ratio test ties
 def test_simplex_matches_fraction_oracle(lp):
     assert outcome(_simplex, *lp) == outcome(oracle_simplex, *lp)
+
+
+def two_phase_probe(matrix, value, base):
+    """(row, optimum) of the first coordinate probe of the optimal face
+    {x >= 0 : x' matrix >= value, 1'x = 1} that beats base, or None: the
+    face probe as the two-phase oracle solves it."""
+    m = len(matrix)
+    a_ub = [[-a for a in col] for col in zip(*matrix)]
+    for i in range(m):
+        c = [int(j == i) for j in range(m)]
+        _, best, _ = oracle_simplex(c, a_ub, [-value] * len(a_ub),
+                                    [[1] * m], [1])
+        if best > base[i]:
+            return i, best
+    return None
+
+
+@st.composite
+def small_games(draw):
+    """Small integer matrices; few distinct entries make ties, and so fat
+    optimal faces, common."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    return [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_games())
+@example([[0, 0], [0, 0]])            # every pair optimal
+@example([[0, 0, 1]])                 # two optimal columns
+@example([[1, -1], [-1, 1], [0, 0]])  # the unplayed row ties the value
+@example([[1, 1], [1, 1], [0, 2]])    # duplicate rows
+def test_face_witness_matches_two_phase_probe(v):
+    x, y, value = zero_sum_strategies(v)
+    neg_t = [[-a for a in col] for col in zip(*v)]
+    for matrix, val, base in ((v, value, x), (neg_t, -value, y)):
+        witness = _face_witness(matrix, val, base)
+        expected = two_phase_probe(matrix, val, base)
+        assert (witness is None) == (expected is None)
+        if witness is None:
+            continue
+        # no earlier probe beat base, so the first row where the witness
+        # does is the probed row, and its weight there is the optimum
+        row = next(i for i, (w, b) in enumerate(zip(witness, base)) if w > b)
+        assert (row, witness[row]) == expected
+        assert witness != tuple(base)
+        assert all(w >= 0 for w in witness) and sum(witness) == 1
+        _, cols, _ = payoffs(matrix, matrix, witness, [0] * len(matrix[0]))
+        assert min(cols) == val
