@@ -7,28 +7,28 @@ index) that is consistent with the actions chosen at the node's prefixes.
 Own past actions never key a node; they are marginalized into the carried
 distribution, matching policies that see only observations.
 
-All optimal actions are retained per node, so the oracle reports the exact
-number of pure best responses (subtrees that become unreachable contribute
-a free factor of |A|^nodes) and can sample uniformly among them by integer
-counting.
+All optimal actions are retained per node with their counts, so the
+oracle reports the exact number of pure best responses (subtrees that
+become unreachable contribute a free factor of |A|^nodes).  One walk over
+the nodes in domain order reads every policy out of the DP: it picks the
+lexicographic witness, draws a uniform one from the memoized counts, or
+follows a candidate's own actions to score it exactly on the DP's scale,
+which certifies scripted candidates and decides is_best_response.
 """
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
 
 from .errors import (
     DomainMismatch,
     EnumerationCapExceeded,
     ScriptedCandidateSuboptimal,
 )
-from .posg import (
-    PurePolicy,
-    check_policy,
-    delta,
-    evaluate_mixed,
-    indexed_domain,
-)
+from .posg import PurePolicy, check_policy, indexed_domain
 from .rationals import as_ints
 
 DEFAULT_NODE_CAP = 1_000_000
@@ -58,7 +58,6 @@ class _Solver:
             raise DomainMismatch("opponent mixture is for the wrong player")
         for pol, _ in opp.support:
             check_policy(g, pol, opp.player)
-        self.player = player
         self.pi = player - 1
         self.n_actions = g.action_counts[self.pi]
         self.n2 = g.action_counts[1]
@@ -136,7 +135,7 @@ class _Solver:
                                        for c, ctx in kids.items()}
 
     def solve(self, i, contexts):
-        """(value, per-action values, optimal actions, count) at a node."""
+        """(value, optimal actions, their counts, total count) at a node."""
         key = (i, contexts)
         hit = self.memo.get(key)
         if hit is not None:
@@ -159,13 +158,14 @@ class _Solver:
             values.append(value)
             counts.append(count)
         best = max(values)
-        opt = [a for a in range(self.n_actions) if values[a] == best]
-        total = sum(counts[a] for a in opt)
-        out = (best, tuple(values), tuple(opt), total)
+        opt = tuple([a for a in range(self.n_actions) if values[a] == best])
+        opt_counts = tuple([counts[a] for a in opt])
+        out = (best, opt, opt_counts, sum(opt_counts))
         self.memo[key] = out
         return out
 
     def value_and_count(self):
+        """The best-response value (an int over self.scale) and count."""
         value = self.start_reward
         count = 1
         for i, seq in enumerate(self.domain):
@@ -178,45 +178,26 @@ class _Solver:
                 v, _, _, c = self.solve(i, ctx)
                 value += v
                 count *= c
-        return Fraction(value, self.scale), count
+        return value, count
 
-    def select(self, mode, rng):
-        """Assign an action to every domain node: optimal choices at
-        reached nodes, mode-dependent fill elsewhere."""
-        assignment = []
+    def walk(self, choose):
+        """One pass over the domain, prefixes before extensions: the action
+        at node i is choose(i, ctx), where ctx is the node's context under
+        the actions already chosen, or None when they never reach it.
+        Only the chosen action is pushed.  Returns the actions and their
+        exact value as an int over self.scale."""
+        actions = []
+        value = self.start_reward
         reached = dict(self.root_contexts)
-        for i in range(len(self.domain)):  # prefixes precede extensions
+        for i in range(len(self.domain)):
             ctx = reached.get(i)
-            if ctx is None:
-                if mode == "seeded-random":
-                    assignment.append(rng.randrange(self.n_actions))
-                else:
-                    assignment.append(0)
-                continue
-            _, _, opt, _ = self.solve(i, ctx)
-            if mode == "seeded-random":
-                weights = []
-                for a in opt:
-                    _, kids = self.push(i, ctx, a)
-                    w = 1
-                    for c, cctx in kids.items():
-                        w *= self.solve(c, cctx)[3]
-                    for c in self.children[i]:
-                        if c not in kids:
-                            w *= self.free_factor[c]
-                    weights.append(w)
-                r = rng.randrange(sum(weights))
-                for a, w in zip(opt, weights):
-                    if r < w:
-                        chosen = a
-                        break
-                    r -= w
-            else:
-                chosen = opt[0]
-            assignment.append(chosen)
-            _, kids = self.push(i, ctx, chosen)
-            reached.update(kids)
-        return PurePolicy(self.player, self.domain, tuple(assignment))
+            a = choose(i, ctx)
+            actions.append(a)
+            if ctx is not None:
+                reward, kids = self.push(i, ctx, a)
+                value += reward
+                reached.update(kids)
+        return tuple(actions), value
 
 
 def _freeze(ctx):
@@ -235,33 +216,36 @@ def best_response(g, player, opp, select="lexicographic", seed=None,
     """
     solver = _Solver(g, player, opp)
     value, count = solver.value_and_count()
+    best = Fraction(value, solver.scale)
     if select == "scripted":
         if candidate is None:
             raise ScriptedCandidateSuboptimal("no scripted candidate supplied")
         check_policy(g, candidate, player)
-        got = _value_against(g, player, candidate, opp)
+        got = solver.walk(lambda i, ctx: candidate.actions[i])[1]
         if got != value:
             raise ScriptedCandidateSuboptimal(
-                f"scripted candidate scores {got}, best response scores {value}")
-        return BestResponseResult(value, candidate, count)
+                f"scripted candidate scores {Fraction(got, solver.scale)}, "
+                f"best response scores {best}")
+        return BestResponseResult(best, candidate, count)
     if select == "seeded-random":
-        rng = random.Random(seed)
+        choose = partial(_draw, solver, random.Random(seed))
     elif select == "lexicographic":
-        rng = None
+        def choose(i, ctx):
+            return 0 if ctx is None else solver.solve(i, ctx)[1][0]
     else:
         raise ValueError(f"unknown best-response selection mode {select!r}")
-    witness = solver.select(select, rng)
-    return BestResponseResult(value, witness, count)
+    witness = PurePolicy(player, solver.domain, solver.walk(choose)[0])
+    return BestResponseResult(best, witness, count)
 
 
-def _value_against(g, player, policy, opp):
-    pair = (delta(policy), opp) if player == 1 else (opp, delta(policy))
-    return evaluate_mixed(g, *pair)[player - 1]
-
-
-def best_response_value(g, player, opp):
-    solver = _Solver(g, player, opp)
-    return solver.value_and_count()[0]
+def _draw(solver, rng, i, ctx):
+    """Uniform over the optimal policies, one node at a time: an optimal
+    action with probability proportional to its count, any action at a
+    node the walk does not reach."""
+    if ctx is None:
+        return rng.randrange(solver.n_actions)
+    _, opt, counts, total = solver.solve(i, ctx)
+    return opt[bisect_right(list(accumulate(counts)), rng.randrange(total))]
 
 
 def count_best_responses(g, player, opp):
@@ -273,5 +257,8 @@ def count_best_responses(g, player, opp):
 def is_best_response(g, player, candidate, opp):
     """True iff the candidate attains the best-response value exactly."""
     check_policy(g, candidate, player)
-    return _value_against(g, player, candidate, opp) == \
-        best_response_value(g, player, opp)
+    for pol, _ in opp.support:
+        check_policy(g, pol, 3 - player)
+    solver = _Solver(g, player, opp)
+    got = solver.walk(lambda i, ctx: candidate.actions[i])[1]
+    return got == solver.value_and_count()[0]

@@ -79,17 +79,36 @@ def _resolve(args):
     """Flags > config file > argparse defaults (D23).  A config key names
     one of the subcommand's flags whose value was not given; other keys are
     ignored.  The parser's own `fn` and `command` are never None, so a
-    config file cannot set them either."""
+    config file cannot set them either.  Each value is parsed as its flag
+    would parse it on the command line."""
     resolved = dict(vars(args))
     path = resolved.pop("config", None)
+    flags = resolved.pop("flags")
     if path:
         with open(path, "r", encoding="utf-8") as fh:
             overrides = json.load(fh)
         for key, value in overrides.items():
-            key = key.replace("-", "_")
-            if key in resolved and resolved[key] is None:
-                resolved[key] = value
+            dest = key.replace("-", "_")
+            if dest in resolved and resolved[dest] is None:
+                resolved[dest] = _config_value(flags[dest], key, value)
     return resolved
+
+
+def _config_value(flag, key, value):
+    """A config-file value through its flag's `type=` and `choices=`; a
+    value the flag would reject raises ValueError naming the key."""
+    if value is None:
+        return None
+    if flag.type is not None:
+        try:
+            value = flag.type(str(value))
+        except ValueError:
+            raise ValueError(f"config key {key!r}: invalid "
+                             f"{flag.type.__name__} value {value!r}") from None
+    if flag.choices is not None and value not in flag.choices:
+        raise ValueError(f"config key {key!r}: invalid choice {value!r} "
+                         f"(choose from {', '.join(flag.choices)})")
+    return value
 
 
 def _build_game(cfg):
@@ -325,6 +344,11 @@ def cmd_report(args):
     return EXIT_OK
 
 
+def _flags(parser):
+    """The parser's flags by destination, for parsing config values."""
+    return {action.dest: action for action in parser._actions}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dolab",
@@ -357,7 +381,7 @@ def build_parser():
     p.add_argument("--rounds", type=int)
     p.add_argument("--out")
     p.add_argument("--config")
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_run, flags=_flags(p))
 
     p = sub.add_parser("sweep", help="seeded double-oracle trials")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -372,7 +396,7 @@ def build_parser():
                    help="trial process count (default $DOLAB_PARALLEL or 1)")
     p.add_argument("--out", help="directory for per-trial traces")
     p.add_argument("--config")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, flags=_flags(p))
 
     p = sub.add_parser("verify-theorem", help="machine-check a theorem")
     p.add_argument("--theorem", required=True, choices=THEOREMS)

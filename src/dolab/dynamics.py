@@ -22,8 +22,8 @@ from . import lp
 from .adapters import as_adapter
 from .equilibrium import (
     is_unique_pair,
-    is_unique_zero_sum_equilibrium,
     iter_nash_bimatrix,
+    uniqueness_witness,
 )
 from .errors import (
     DolabError,
@@ -245,10 +245,10 @@ def _solve_meta(state, tiebreak, t):
     unique = None
     if mode == "unique-or-fail":
         if not is_unique_pair(state.v1, x, y):
-            cert = is_unique_zero_sum_equilibrium(state.meta_nfg())
+            player, _ = uniqueness_witness(state.v1, x, y, value)
             raise UniquenessViolation(
                 f"iteration {t}: meta-Nash strategies are not unique "
-                f"(witness for player {cert.witness[0]})")
+                f"(witness for player {player})")
         unique = True
     return x, y, (value, -value), unique, mode  # zero-sum: v2 == -v1
 

@@ -194,23 +194,30 @@ def _face_witness(matrix, value, base):
     return None
 
 
+def uniqueness_witness(v, x, y, value):
+    """(player, differing optimal strategy) for the zero-sum matrix game v,
+    given its optimal pair (x, y) and value when is_unique_pair says "not
+    unique": player 1's optimal face is probed first, then player 2's as
+    the row player of -v'."""
+    neg_t = [[-a for a in col] for col in zip(*v)]
+    for player, face in ((1, (v, value, x)), (2, (neg_t, -value, y))):
+        probe = _face_witness(*face)
+        if probe is not None:
+            return player, probe
+    raise LpError("uniqueness certificate says not unique, but no optimal "
+                  "face probe found a second optimal strategy")
+
+
 def is_unique_zero_sum_equilibrium(nfg):
     """Decide whether each player's optimal-strategy polytope is a point.
 
     Solves the game once and applies is_unique_pair.  Only if that says
-    "not unique" are the optimal faces searched for a differing optimal
-    strategy (player 1's, then player 2's as the row player of -v1'),
-    which is returned as the witness.
+    "not unique" are the optimal faces searched for a witness
+    (uniqueness_witness).
     """
     if not nfg.zero_sum:
         raise NotZeroSum("uniqueness test needs a zero-sum game")
     x, y, value = lp.zero_sum_strategies(nfg.v1)
     if is_unique_pair(nfg.v1, x, y):
         return UniquenessCertificate(True, None)
-    neg_t = [[-a for a in col] for col in zip(*nfg.v1)]
-    for player, face in ((1, (nfg.v1, value, x)), (2, (neg_t, -value, y))):
-        probe = _face_witness(*face)
-        if probe is not None:
-            return UniquenessCertificate(False, (player, probe))
-    raise LpError("uniqueness certificate says not unique, but no optimal "
-                  "face probe found a second optimal strategy")
+    return UniquenessCertificate(False, uniqueness_witness(nfg.v1, x, y, value))

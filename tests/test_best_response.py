@@ -12,6 +12,7 @@ from conftest import (
     small_posgs,
 )
 from dolab.best_response import (
+    _Solver,
     best_response,
     count_best_responses,
     is_best_response,
@@ -22,6 +23,7 @@ from dolab.errors import (
     ScriptedCandidateSuboptimal,
 )
 from dolab.families import (
+    FAMILIES,
     bigger_number_posg,
     encode_policy_for,
     make_game,
@@ -30,6 +32,7 @@ from dolab.families import (
 )
 from dolab.posg import (
     delta,
+    evaluate_mixed,
     mixed,
     policy_count,
     policy_from_index,
@@ -195,3 +198,96 @@ def test_node_cap(monkeypatch):
         best_response(g, 2, opp)
     with pytest.raises(EnumerationCapExceeded):
         count_best_responses(g, 2, opp)
+
+
+def _recount(solver, i, ctx, opt):
+    """Each optimal action's best-response count, recomputed by pushing
+    the action again and re-solving its children: the oracle for the
+    counts solve memoizes."""
+    counts = []
+    for a in opt:
+        _, kids = solver.push(i, ctx, a)
+        count = 1
+        for c, cctx in kids.items():
+            count *= solver.solve(c, cctx)[3]
+        for c in solver.children[i]:
+            if c not in kids:
+                count *= solver.free_factor[c]
+        counts.append(count)
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_memoized_counts_match_recount(family, rng):
+    for k in (2, 3):
+        g = make_game(family, k)
+        for player in (1, 2):
+            for _ in range(4):
+                solver = _Solver(g, player, random_mixture(g, 3 - player, rng))
+                value, _ = solver.value_and_count()
+                reached = []
+
+                def check(i, ctx):
+                    if ctx is None:
+                        return rng.randrange(solver.n_actions)
+                    _, opt, counts, total = solver.solve(i, ctx)
+                    assert counts == _recount(solver, i, ctx, opt)
+                    assert total == sum(counts)
+                    reached.append(i)
+                    return rng.choice(opt)
+
+                # any optimal action at every reached node is optimal
+                assert solver.walk(check)[1] == value
+                assert reached
+
+
+def _assert_walk_scores_like_evaluate_mixed(g, player, opp, cand):
+    solver = _Solver(g, player, opp)
+    _, value = solver.walk(lambda i, ctx: cand.actions[i])
+    pair = (delta(cand), opp) if player == 1 else (opp, delta(cand))
+    assert F(value, solver.scale) == evaluate_mixed(g, *pair)[player - 1]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_walk_scores_candidates_like_evaluate_mixed(family, rng):
+    for k in (2, 3):
+        g = make_game(family, k)
+        for player in (1, 2):
+            for _ in range(6):
+                cand = policy_from_index(
+                    g, player, rng.randrange(policy_count(g, player)))
+                _assert_walk_scores_like_evaluate_mixed(
+                    g, player, random_mixture(g, 3 - player, rng), cand)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_walk_scores_candidates_on_random_games(data):
+    # small_posgs may start in a terminal state and mixes denominators
+    g = data.draw(small_posgs(max_layers=2))
+    player = data.draw(st.sampled_from((1, 2)))
+    cand = policy_from_index(
+        g, player, data.draw(st.integers(0, policy_count(g, player) - 1)))
+    _assert_walk_scores_like_evaluate_mixed(
+        g, player, data.draw(mixed_denominator_mixtures(g, 3 - player)), cand)
+
+
+def test_scripted_failure_and_domain_messages():
+    g = bigger_number_posg(2)
+    opp = delta(enc("BiggerNumber", 2, 1, 3, g))
+    bad = enc("BiggerNumber", 2, 2, 0, g)
+    with pytest.raises(ScriptedCandidateSuboptimal,
+                       match="^scripted candidate scores -1, "
+                             "best response scores 0$"):
+        best_response(g, 2, opp, select="scripted", candidate=bad)
+    with pytest.raises(ScriptedCandidateSuboptimal,
+                       match="no scripted candidate supplied"):
+        best_response(g, 2, opp, select="scripted")
+    with pytest.raises(ValueError, match="unknown best-response selection"):
+        best_response(g, 2, opp, select="bogus")
+    # is_best_response checks the candidate, then the opponent's policies
+    own = delta(bad)
+    with pytest.raises(DomainMismatch, match="expected a policy for player 1"):
+        is_best_response(g, 2, bad, own)
+    with pytest.raises(DomainMismatch, match="expected a policy for player 2"):
+        is_best_response(g, 2, enc("BiggerNumber", 2, 1, 0, g), own)

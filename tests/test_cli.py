@@ -146,6 +146,84 @@ def test_config_file_precedence(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("cmd,config,message", [
+    ("run", {"max-iters": "5"}, None),
+    ("run", {"max_iters": "5.5"},
+     "config key 'max_iters': invalid int value '5.5'"),
+    ("run", {"max-iters": True}, "config key 'max-iters': invalid int value True"),
+    ("run", {"representation": "bogus", "seed": "x"},
+     "config key 'representation': invalid choice 'bogus' "
+     "(choose from posg, matrix)"),
+    ("run", {"seed": "x"}, "config key 'seed': invalid int value 'x'"),
+    ("sweep", {"parallel": "1", "seed": "x"}, None),
+    ("sweep", {"parallel": "x"}, "config key 'parallel': invalid int value 'x'"),
+])
+def test_config_values_parsed_like_flags(cmd, config, message, tmp_path,
+                                         capsys):
+    # a config value goes through its flag's type= and choices= (sweep has
+    # no --seed, so that key is ignored there)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    argv = (("run", "--algo", "do", "--init", "0,0") if cmd == "run"
+            else ("sweep", "--seeds", "2"))
+    rc = run_cli(*argv, "--family", "BiggerNumber", "--k", "2",
+                 "--config", str(cfg))
+    err = capsys.readouterr().err
+    if message is None:
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, err) == (1, f"error: {message}\n")
+
+
+def test_fp_brd_matrix_and_last_added_traces_report_back(tmp_path, capsys):
+    d = tmp_path / "traces"
+    d.mkdir()
+    runs = {
+        "fp": ("--family", "MatchingPenniesChain", "--k", "2", "--algo", "fp",
+               "--rounds", "6", "--best-response", "seeded-random",
+               "--seed", "3", "--init", "0,0"),
+        "brd": ("--family", "WeakBiggerNumber", "--k", "2", "--algo", "brd",
+                "--rounds", "8", "--init", "0,0"),
+        "matrix": ("--family", "BiggerNumber", "--k", "2", "--representation",
+                   "matrix", "--algo", "do", "--init", "1,0"),
+        "last": ("--family", "Incrementing", "--k", "2", "--algo", "do",
+                 "--meta-nash", "scripted", "--schedule", "last-added",
+                 "--init", "0,0"),
+    }
+    for name, argv in runs.items():
+        assert run_cli("run", *argv, "--out", str(d / f"{name}.trace")) == 0
+    capsys.readouterr()
+    header = {}
+    result = {}
+    for name in runs:
+        lines = [json.loads(line) for line in
+                 (d / f"{name}.trace").read_text().splitlines()]
+        header[name], result[name] = lines[0], lines[-1]
+    assert header["fp"]["config"]["best_response_mode"] == "seeded-random"
+    assert header["fp"]["config"]["seed"] == 3
+    assert header["matrix"]["game"]["representation"] == "matrix"
+    assert header["last"]["config"]["meta_nash_mode"] == "scripted"
+    scripted = [json.loads(line)["meta_mode"] for line in
+                (d / "last.trace").read_text().splitlines()[1:-1]]
+    assert scripted and set(scripted) == {"scripted-certified"}
+    assert run_cli("report", "--traces", str(d),
+                   "--out", str(tmp_path / "report.json")) == 0
+    table = capsys.readouterr().out.splitlines()
+    rows = json.loads((tmp_path / "report.json").read_text())
+    got = {(r["family"], r["algorithm"]):
+           (r["runs"], r["iterations_min"], r["statuses"]) for r in rows}
+    assert got == {
+        ("MatchingPenniesChain", "fp"): (1, 6, {"done": 1}),
+        ("WeakBiggerNumber", "brd"):
+            (1, result["brd"]["rounds"], {result["brd"]["status"]: 1}),
+        ("BiggerNumber", "do"):
+            (1, result["matrix"]["iterations"], {"converged": 1}),
+        ("Incrementing", "do"):
+            (1, result["last"]["iterations"], {"converged": 1}),
+    }
+    assert len(table) == 1 + len(runs)
+
+
 @pytest.mark.parametrize("argv", [
     ("run", "--algo", "bogus"),
     ("verify-theorem",),

@@ -142,6 +142,24 @@ def test_unique_or_fail_trips_on_degenerate_meta():
         run_double_oracle(g, F(0), tb, init=pair("BiggerNumber", k, g, 5, 0))
 
 
+def test_unique_or_fail_trip_solves_each_meta_game_once(monkeypatch):
+    # the witness is probed on the pair already solved, so the tripping
+    # iteration solves its meta-game once, like every iteration before it
+    solves = []
+    solve = lp.zero_sum_strategies
+    monkeypatch.setattr(lp, "zero_sum_strategies",
+                        lambda v: solves.append(v) or solve(v))
+    k = 3
+    g = bigger_number_posg(k)
+    tb = TiebreakPolicy(meta_nash_mode="unique-or-fail",
+                        best_response_mode="seeded-random", seed=0)
+    with pytest.raises(UniquenessViolation) as err:
+        run_double_oracle(g, F(0), tb, init=pair("BiggerNumber", k, g, 5, 0))
+    assert str(err.value) == ("iteration 3: meta-Nash strategies are not "
+                              "unique (witness for player 1)")
+    assert len(solves) == 3
+
+
 def test_illegal_scripted_meta_nash():
     k = 2
     g = matching_pennies_chain(k)
