@@ -17,6 +17,7 @@ value, otherwise the run aborts with a legality error.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import lp
 from .adapters import as_adapter
@@ -34,6 +35,7 @@ from .errors import (
     UniquenessViolation,
 )
 from .posg import NormalFormGame
+from .rationals import as_ints
 
 META_MODES = ("lexicographic", "unique-or-fail", "scripted")
 RESPONSE_MODES = ("lexicographic", "unique-or-fail", "seeded-random", "scripted")
@@ -151,7 +153,11 @@ class RunTrace:
 
 
 class MetaState:
-    """Growing meta-game shared with schedules for rule-based choices."""
+    """Growing meta-game shared with schedules for rule-based choices.
+
+    v1 and v2 hold the meta payoffs as int rows over one scale, the lcm of
+    every entry's denominator: v1[i][j] / scale is player 1's payoff.
+    """
 
     def __init__(self, adapter):
         self.adapter = adapter
@@ -159,6 +165,7 @@ class MetaState:
         self.keys = ([], [])
         self.v1 = []
         self.v2 = []
+        self.scale = 1
 
     def add(self, player, policy):
         key = self.adapter.policy_key(player, policy)
@@ -168,21 +175,42 @@ class MetaState:
         self.sets[i].append(policy)
         self.keys[i].append(key)
         if player == 1:
-            row1, row2 = [], []
-            for q in self.sets[1]:
-                a, b = self.adapter.evaluate(policy, q)
-                row1.append(a)
-                row2.append(b)
-            self.v1.append(row1)
-            self.v2.append(row2)
+            pairs = [self.adapter.evaluate(policy, q) for q in self.sets[1]]
         else:
-            for r, p in enumerate(self.sets[0]):
-                a, b = self.adapter.evaluate(p, policy)
+            pairs = [self.adapter.evaluate(p, policy) for p in self.sets[0]]
+        ints = self._scaled([v for pair in pairs for v in pair])
+        if player == 1:
+            self.v1.append(ints[0::2])
+            self.v2.append(ints[1::2])
+        else:
+            for r, (a, b) in enumerate(zip(ints[0::2], ints[1::2])):
                 self.v1[r].append(a)
                 self.v2[r].append(b)
         return True
 
+    def _scaled(self, values):
+        """values as ints over self.scale, raising the scale (and
+        rescaling the stored rows) when a denominator does not divide it."""
+        ints, den = as_ints(values)
+        scale = self.scale
+        if scale % den:
+            new = scale // gcd(scale, den) * den
+            factor = new // scale
+            for rows in (self.v1, self.v2):
+                rows[:] = [[v * factor for v in row] for row in rows]
+            self.scale = scale = new
+        if scale != den:
+            factor = scale // den
+            ints = [v * factor for v in ints]
+        return ints
+
+    def value(self, v):
+        """v, a payoff on the int rows' scale (an int, or a Fraction such
+        as a solved value), as a Fraction on the game's own scale."""
+        return Fraction(v, self.scale)
+
     def meta_nfg(self):
+        """The meta-game as a NormalFormGame of ints over scale."""
         return NormalFormGame(tuple([tuple(row) for row in self.v1]),
                               tuple([tuple(row) for row in self.v2]),
                               self.adapter.zero_sum)
@@ -229,7 +257,9 @@ def _solve_meta(state, tiebreak, t):
             if max(rows) != values[0] or max(cols) != values[1]:
                 raise IllegalScriptedMetaNash(
                     f"iteration {t}: scripted profile has meta improvements "
-                    f"({max(rows) - values[0]}, {max(cols) - values[1]})")
+                    f"({state.value(max(rows) - values[0])}, "
+                    f"{state.value(max(cols) - values[1])})")
+            values = (state.value(values[0]), state.value(values[1]))
             return x, y, values, None, "scripted-certified"
         mode = "lexicographic"
     if not state.adapter.zero_sum:
@@ -239,7 +269,8 @@ def _solve_meta(state, tiebreak, t):
         eq = next(iter_nash_bimatrix(nfg, max_support=min(nfg.shape)), None)
         if eq is None:
             raise DolabError("support enumeration found no meta equilibrium")
-        return (list(eq.row_strategy), list(eq.col_strategy), eq.values,
+        values = (state.value(eq.values[0]), state.value(eq.values[1]))
+        return (list(eq.row_strategy), list(eq.col_strategy), values,
                 None, "enumerated")
     x, y, value = lp.zero_sum_strategies(state.v1)
     unique = None
@@ -250,6 +281,7 @@ def _solve_meta(state, tiebreak, t):
                 f"iteration {t}: meta-Nash strategies are not unique "
                 f"(witness for player {player})")
         unique = True
+    value = state.value(value)
     return x, y, (value, -value), unique, mode  # zero-sum: v2 == -v1
 
 

@@ -231,7 +231,7 @@ def trailing_run(bits):
 
 
 def _int_to_bits(x, k):
-    return tuple((x >> (k - 1 - i)) & 1 for i in range(k))
+    return tuple([(x >> (k - 1 - i)) & 1 for i in range(k)])
 
 
 def _bits_to_int(bits):
@@ -337,11 +337,15 @@ def incrementing_posg(k):
     observations = ({0: 0}, {0: 0})
     transitions = {}
     counter = [0]
+    rewards = {}  # one shared Fraction pair per distinct reward pair
 
     def terminal(r1, r2, tag):
         idx = len(states)
         counter[0] += 1
-        states.append((f"{tag}#{counter[0]}", (Fraction(r1), Fraction(r2))))
+        pair = rewards.get((r1, r2))
+        if pair is None:
+            pair = rewards[r1, r2] = (Fraction(r1), Fraction(r2))
+        states.append((f"{tag}#{counter[0]}", pair))
         return idx
 
     def chance_state(tag, i):

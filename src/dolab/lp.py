@@ -9,12 +9,16 @@ the gcd of its entries and its denominator (Edmonds 1967; Bareiss 1968).
 Signs and ratios read from the ints are those of the rational tableau, so
 Bland's rule makes the same pivots as on Fractions.  Inputs are ints or
 Fractions, every result is a Fraction, and no Fraction arithmetic runs
-inside a pivot.  One driver (_simplex) builds every tableau: <= rows with
-a nonnegative rhs, started from the slack basis, so no phase 1.  Two
-entry points:
+inside a pivot.  One driver (_simplex) runs every solve: <= rows with a
+nonnegative rhs, started from the slack basis, so no phase 1.  Two entry
+points:
 
-  * zero_sum_strategies: one shifted primal solve per game, strategies for
-    both players read from the final tableau (primal solution + duals).
+  * zero_sum_strategies: puts the matrix on ints over one denominator.  A
+    strict pure saddle is the game's only optimal pair (Shapley & Snow
+    1950), so it is returned in closed form, without the simplex; any tie
+    goes to the LP.  Otherwise one shifted primal solve on a tableau built
+    straight from the int rows, strategies for both players read from the
+    final tableau (primal solution + duals) and certified by payoffs.
   * maximize: probes the optimal face, scaled by [0, 1], for a witness
     once uniqueness has been refuted.
 
@@ -22,7 +26,8 @@ solve_linear_system is Gauss-Jordan elimination on the simplex's row
 operation (_pivot); it backs support enumeration and the uniqueness
 kernel check.  payoffs is the one place that computes a bimatrix
 profile's values and every pure strategy's payoff against it (the
-meta-Nash, equilibrium and uniqueness certificates).
+meta-Nash, equilibrium and uniqueness certificates): each weight vector
+is put on ints once, so an int matrix is summed on ints alone.
 """
 
 from fractions import Fraction
@@ -100,15 +105,13 @@ def _bland_iterate(rows, dens, basis, width):
         basis[pr] = pc
 
 
-def _simplex(c, a_ub, b_ub):
-    """Maximize c'x subject to a_ub x <= b_ub, x >= 0, from the slack
-    basis, so b_ub >= 0 (a negative rhs raises LpError).  Returns
-    (x, value, duals), where duals[i] is the exact dual multiplier of row
-    i: the objective-row entry of its slack column.
+def _tableau(c, a_ub, b_ub):
+    """The slack-basis tableau of max c'x s.t. a_ub x <= b_ub, x >= 0, as
+    (rows, dens, n); b_ub >= 0, or LpError (a negative rhs has no slack
+    basis).  Columns: n structural, then one slack per row, basic in row
+    order; the objective row is last.
     """
     n, k = len(c), len(a_ub)
-    width = n + k
-    # Columns: n structural, then one slack per row, basic in row order.
     rows, dens = [], []
     for r, (coeffs, b) in enumerate(zip(a_ub, b_ub)):
         row, den = as_ints([*coeffs, b])
@@ -121,6 +124,16 @@ def _simplex(c, a_ub, b_ub):
     obj, den = as_ints(c)
     rows.append([-v for v in obj] + [0] * (k + 1))
     dens.append(den)
+    return rows, dens, n
+
+
+def _simplex(rows, dens, n):
+    """Maximize from the slack basis of a tableau laid out as _tableau
+    builds it (n structural columns).  Returns (x, value, duals), where
+    duals[i] is the exact dual multiplier of row i: the objective-row
+    entry of its slack column.
+    """
+    width = n + len(rows) - 1
     basis = list(range(n, width))
     _bland_iterate(rows, dens, basis, width)
 
@@ -137,7 +150,7 @@ def _simplex(c, a_ub, b_ub):
 
 def maximize(c, a_ub, b_ub):
     """Maximize c'x over {x >= 0 : a_ub x <= b_ub}, where b_ub >= 0."""
-    return _simplex(c, a_ub, b_ub)[:2]
+    return _simplex(*_tableau(c, a_ub, b_ub))[:2]
 
 
 def payoffs(v1, v2, x, y):
@@ -147,45 +160,84 @@ def payoffs(v1, v2, x, y):
     against y, cols[j] = (x' v2)_j is column j's payoff against x, and
     values = (x' v1 y, x' v2 y).  Every row and column is scored, whatever
     its own weight, so max(rows) - values[0] and max(cols) - values[1] are
-    the players' best pure-deviation improvements.  Every sum starts at
-    Fraction(0), so no output is an int.
+    the players' best pure-deviation improvements.  Each weight vector is
+    put on ints once, so an int matrix is summed on ints alone; every
+    output is one Fraction over the weights' denominators.
     """
-    zero = Fraction(0)
-    xs = [(i, w) for i, w in enumerate(x) if w != 0]
-    ys = [(j, w) for j, w in enumerate(y) if w != 0]
-    rows = [sum((row[j] * w for j, w in ys), zero) for row in v1]
-    cols = [sum((v2[i][j] * w for i, w in xs), zero) for j in range(len(y))]
-    values = (sum((w * rows[i] for i, w in xs), zero),
-              sum((w * cols[j] for j, w in ys), zero))
-    return rows, cols, values
+    xs, xden = as_ints(x)
+    ys, yden = as_ints(y)
+    xs = [(i, w) for i, w in enumerate(xs) if w]
+    ys = [(j, w) for j, w in enumerate(ys) if w]
+    rows = [sum([row[j] * w for j, w in ys]) for row in v1]
+    cols = [sum([v2[i][j] * w for i, w in xs]) for j in range(len(y))]
+    both = xden * yden
+    values = (Fraction(sum([rows[i] * w for i, w in xs]), both),
+              Fraction(sum([cols[j] * w for j, w in ys]), both))
+    return ([Fraction(r, yden) for r in rows],
+            [Fraction(c, xden) for c in cols], values)
+
+
+def _strict_saddle(a):
+    """(i, j) where a[i][j] is the strict minimum of row i and the strict
+    maximum of column j, or None.  Such a cell is the game's only optimal
+    pair (Shapley & Snow 1950 with one-element supports), so it is the
+    pair the simplex would return; any tie leaves it to the simplex."""
+    for i, row in enumerate(a):
+        lo = min(row)
+        if row.count(lo) == 1:
+            j = row.index(lo)
+            col = [r[j] for r in a]
+            if max(col) == lo and col.count(lo) == 1:
+                return i, j
+    return None
 
 
 def zero_sum_strategies(matrix):
     """Exact maximin solution of a zero-sum matrix game.
 
-    matrix[i][j] is the row player's payoff.  Returns (x, y, value): the
-    row strategy, the column strategy, and the game value, all exact.
+    matrix[i][j] is the row player's payoff (ints or Fractions).  Returns
+    (x, y, value): the row strategy, the column strategy, and the game
+    value, all exact Fractions.  The matrix is put on ints over one
+    denominator first; a strict pure saddle closes the solve, otherwise
+    the tableau is built from the shifted int rows and the simplex's
+    pair is certified by payoffs.
     """
     m = len(matrix)
     n = len(matrix[0])
-    lo = min(min(row) for row in matrix)
-    shift = Fraction(1) - Fraction(lo) if lo < 1 else Fraction(0)
-    shifted = [[Fraction(v) + shift for v in row] for row in matrix]
+    flat, den = as_ints([v for row in matrix for v in row])
+    a = [flat[i * n:(i + 1) * n] for i in range(m)]
+    saddle = _strict_saddle(a)
+    if saddle is not None:
+        i, j = saddle
+        x = [Fraction(0)] * m
+        y = [Fraction(0)] * n
+        x[i] = y[j] = Fraction(1)
+        return x, y, Fraction(a[i][j], den)
+
+    # Shift the game so every entry is >= 1: rationally (a + shift) / den.
+    lo = min([min(row) for row in a])
+    shift = den - lo if lo < den else 0
     # Column player: max 1'u  s.t.  B u <= 1; duals recover the row player.
-    one = Fraction(1)
-    u, total, duals = _simplex([one] * n, shifted, [one] * m)
+    rows = []
+    for r, row in enumerate(a):
+        t = [v + shift for v in row] + [0] * m + [den]
+        t[n + r] = den
+        rows.append(t)
+    rows.append([-1] * n + [0] * (m + 1))
+    u, total, duals = _simplex(rows, [den] * m + [1], n)
     if total <= 0:
         raise LpError("degenerate shifted game")
-    game_value = one / total
+    game_value = 1 / total
     y = [ui * game_value for ui in u]
     x = [di * game_value for di in duals]
-    value = game_value - shift
+    value = game_value - Fraction(shift, den)
 
     # Certify: exact feasibility and equal guarantees on both sides.
     if sum(x) != 1 or sum(y) != 1 or any(v < 0 for v in x) or any(v < 0 for v in y):
         raise LpError("zero-sum solve produced a non-distribution")
-    rows, cols, _ = payoffs(matrix, matrix, x, y)
-    if not max(rows) == value == min(cols):
+    rows, cols, _ = payoffs(a, a, x, y)
+    scaled = value * den
+    if not max(rows) == scaled == min(cols):
         raise LpError("zero-sum solve failed its exactness certificate")
     return x, y, value
 

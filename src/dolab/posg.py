@@ -114,7 +114,7 @@ def build_posg(*, states, start, action_counts, transitions, observations,
     observations: pair of mappings state -> observation id (nonterminals only).
     """
     n = len(states)
-    names = tuple(s[0] for s in states)
+    names = tuple([s[0] for s in states])
     rewards = tuple([None if r is None else (_frac(r[0]), _frac(r[1]))
                      for _, r in states])
 
@@ -163,7 +163,7 @@ def build_posg(*, states, start, action_counts, transitions, observations,
         if rewards[s] is None and (
                 rows[s] is None or any(r is None for r in rows[s])):
             raise DanglingState(f"nonterminal state {names[s]} lacks transition rows")
-    trans = tuple(tuple(r) if r is not None else None for r in rows)
+    trans = tuple([None if r is None else tuple(r) for r in rows])
 
     # Acyclicity (Kahn) and the longest path length.
     succs = [()] * n

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
+from dolab import lp
+from dolab.errors import LpError
 from dolab.posg import (
     build_posg,
     check_policy,
@@ -89,6 +91,44 @@ def oracle_mixed_values(g, s1, s2):
             r1 += w1 * w2 * v1
             r2 += w1 * w2 * v2
     return r1, r2
+
+
+def oracle_payoffs(v1, v2, x, y):
+    """lp.payoffs as Fraction sums: every sum starts at Fraction(0) and
+    adds one entry-times-weight product at a time."""
+    zero = Fraction(0)
+    xs = [(i, w) for i, w in enumerate(x) if w != 0]
+    ys = [(j, w) for j, w in enumerate(y) if w != 0]
+    rows = [sum((row[j] * w for j, w in ys), zero) for row in v1]
+    cols = [sum((v2[i][j] * w for i, w in xs), zero) for j in range(len(y))]
+    values = (sum((w * rows[i] for i, w in xs), zero),
+              sum((w * cols[j] for j, w in ys), zero))
+    return rows, cols, values
+
+
+def oracle_zero_sum_strategies(matrix):
+    """lp.zero_sum_strategies on Fractions, with no saddle shortcut: the
+    matrix shifted by a Fraction so every entry is >= 1, one slack-basis
+    simplex solve, certified by Fraction sums."""
+    m = len(matrix)
+    n = len(matrix[0])
+    lo = min(min(row) for row in matrix)
+    shift = Fraction(1) - Fraction(lo) if lo < 1 else Fraction(0)
+    shifted = [[Fraction(v) + shift for v in row] for row in matrix]
+    one = Fraction(1)
+    u, total, duals = lp._simplex(*lp._tableau([one] * n, shifted, [one] * m))
+    if total <= 0:
+        raise LpError("degenerate shifted game")
+    game_value = one / total
+    y = [ui * game_value for ui in u]
+    x = [di * game_value for di in duals]
+    value = game_value - shift
+    if sum(x) != 1 or sum(y) != 1 or any(v < 0 for v in x) or any(v < 0 for v in y):
+        raise LpError("zero-sum solve produced a non-distribution")
+    rows, cols, _ = oracle_payoffs(matrix, matrix, x, y)
+    if not max(rows) == value == min(cols):
+        raise LpError("zero-sum solve failed its exactness certificate")
+    return x, y, value
 
 
 def brute_force_best_responses(g, player, opp):

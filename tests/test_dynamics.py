@@ -3,9 +3,11 @@ from fractions import Fraction as F
 import pytest
 
 from dolab import equilibrium, lp
+from dolab.adapters import as_adapter
 from dolab.dynamics import (
     ExplicitSchedule,
     LastAddedMetaNash,
+    MetaState,
     TiebreakPolicy,
     run_alpha_double_oracle,
     run_best_response_dynamics,
@@ -28,8 +30,15 @@ from dolab.families import (
     schedule_for_theorem,
     weak_bigger_number_posg,
 )
-from dolab.harness import verify_t2
-from dolab.posg import induced_normal_form, normal_form, policy_index
+from dolab.harness import sweep_double_oracle, verify_t2, verify_t3
+from dolab.posg import (
+    induced_normal_form,
+    normal_form,
+    policy_from_index,
+    policy_index,
+    posg_from_normal_form,
+)
+from dolab.traces import run_trace_lines
 
 LEX = TiebreakPolicy()
 
@@ -389,3 +398,79 @@ def test_thm1_followup_gap_decay():
                                init=pair("GuessTheString", k, g, 0, 0))
         for t in range(1, (len(tr.iterations) - 1) // 2 + 1):
             assert tr.iterations[2 * t].gap <= F(2, t)
+
+
+# Denominators 1, 2, 3 and 7, met in an order that raises the scale twice
+# after rows are stored (see test_meta_state_rescales_int_rows).
+FRACTIONAL = [[1, F(1, 2), F(2, 7)],
+              [F(1, 3), -1, F(5, 7)],
+              [F(-3, 2), F(2, 3), 0]]
+FRACTIONAL_V2 = [[2, F(-1, 2), F(3, 7)],
+                 [F(2, 3), 1, F(-1, 7)],
+                 [F(1, 6), F(-5, 2), F(1, 3)]]
+
+
+@pytest.mark.parametrize("zero_sum", [True, False])
+def test_meta_state_rescales_int_rows(zero_sum):
+    v2 = None if zero_sum else FRACTIONAL_V2
+    g = posg_from_normal_form(normal_form(FRACTIONAL, v2))
+    adapter = as_adapter(g)
+    state = MetaState(adapter)
+    scales = []
+    for player, index in ((1, 0), (2, 0), (2, 1), (1, 1), (2, 2), (1, 2)):
+        state.add(player, policy_from_index(g, player, index))
+        scales.append(state.scale)
+        for i, p in enumerate(state.sets[0]):
+            for j, q in enumerate(state.sets[1]):
+                assert (F(state.v1[i][j], state.scale),
+                        F(state.v2[i][j], state.scale)) == adapter.evaluate(p, q)
+    assert scales == [1, 1, 2, 6, 42, 42]
+
+
+@pytest.mark.parametrize("zero_sum", [True, False])
+def test_fractional_meta_game_traces_match_matrix_adapter(zero_sum):
+    v2 = None if zero_sum else FRACTIONAL_V2
+    nfg = normal_form(FRACTIONAL, v2)
+    g = posg_from_normal_form(nfg)
+    for i in range(3):
+        for j in range(3):
+            runs = [run_double_oracle(
+                game, F(0), LEX,
+                init=(policy_from_index(g, 1, i), policy_from_index(g, 2, j))
+                if game is g else (i, j)) for game in (g, nfg)]
+            assert run_trace_lines(runs[0]) == run_trace_lines(runs[1])
+
+
+def test_scripted_meta_nash_message_on_a_fractional_game():
+    # the improvements are read on the int scale and printed as Fractions
+    g = normal_form(FRACTIONAL)
+    half = F(1, 2)
+    sched = ExplicitSchedule(
+        [{}, {}, {"meta_nash": ([(0, half), (1, half)], [(0, F(1))])}])
+    tb = TiebreakPolicy(meta_nash_mode="scripted", schedule=sched)
+    with pytest.raises(IllegalScriptedMetaNash,
+                       match=r"iteration 3: .*improvements \(1/3, 1/6\)"):
+        run_double_oracle(g, F(0), tb, init=(0, 0))
+
+
+def test_saddle_first_meta_solves_skip_the_simplex(monkeypatch):
+    # every meta-game of the T2 and T3 runs has a strict pure saddle, so
+    # these verdicts never reach the LP
+    def no_simplex(*args):
+        raise AssertionError("lp._simplex reached")
+
+    monkeypatch.setattr(lp, "_simplex", no_simplex)
+    for verdict, _ in (verify_t2(4), verify_t3(5)):
+        assert verdict.passed, verdict.first_violation
+
+
+def test_bigger_number_sweep_pivot_count(monkeypatch):
+    # a machine-independent perf guard: the meta solves of this fixed
+    # sweep pivot exactly this often
+    pivots = []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot",
+                        lambda *args: pivots.append(1) or pivot(*args))
+    stats, _, _ = sweep_double_oracle("BiggerNumber", 4, range(20), parallel=1)
+    assert not stats["failed"]
+    assert len(pivots) == 342

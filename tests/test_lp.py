@@ -1,13 +1,18 @@
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from conftest import oracle_payoffs, oracle_zero_sum_strategies
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dolab import lp
 from dolab.equilibrium import _face_witness
 from dolab.errors import LpError
 from dolab.lp import (
     _simplex,
+    _strict_saddle,
+    _tableau,
     maximize,
     payoffs,
     solve_linear_system,
@@ -252,6 +257,11 @@ def oracle_simplex(c, a_ub, b_ub, a_eq=(), b_eq=()):
     return x, value, rows[-1][n:width]
 
 
+def simplex(c, a_ub, b_ub):
+    """lp._simplex on the slack-basis tableau of an explicit LP."""
+    return _simplex(*_tableau(c, a_ub, b_ub))
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -278,7 +288,7 @@ def leq_lps(draw):
 @example(([1], [[-1]], [0]))       # unbounded
 @example(([1, 1], [[1, 1], [1, 1], [2, 2]], [1, 1, 2]))  # degenerate
 def test_simplex_matches_slack_basis_oracle(lp):
-    assert outcome(_simplex, *lp) == outcome(oracle_solve_max_leq, *lp)
+    assert outcome(simplex, *lp) == outcome(oracle_solve_max_leq, *lp)
 
 
 @st.composite
@@ -318,7 +328,7 @@ def feasible_leq_lps(draw):
 @example(([1, -1], [[-1, -1], [1, 0], [1, 1]], [0, 2, 3]))
 def test_simplex_duals_certify_optimality(lp):
     c, a, b = lp
-    x, value, duals = _simplex(c, a, b)
+    x, value, duals = simplex(c, a, b)
     assert all(v >= 0 for v in x)
     assert all(sum(v * w for v, w in zip(row, x)) <= bi
                for row, bi in zip(a, b))
@@ -355,7 +365,7 @@ def fractional_leq_lps(draw):
 @example(([1], [[-1]], [F(1, 5)]))                # unbounded
 @example(([2, -2], [[2, -2], [2, 0]], [2, 2]))    # the ratio test ties
 def test_simplex_matches_fraction_oracle(lp):
-    assert outcome(_simplex, *lp) == outcome(oracle_simplex, *lp)
+    assert outcome(simplex, *lp) == outcome(oracle_simplex, *lp)
 
 
 def two_phase_probe(matrix, value, base):
@@ -405,3 +415,83 @@ def test_face_witness_matches_two_phase_probe(v):
         assert all(w >= 0 for w in witness) and sum(witness) == 1
         _, cols, _ = payoffs(matrix, matrix, witness, [0] * len(matrix[0]))
         assert min(cols) == val
+
+
+# entries of the saddle-kind games: ints, or rationals over 2, 3 and 7
+GAME_ENTRY = st.one_of(st.integers(-4, 4),
+                       st.builds(F, st.integers(-8, 8), st.sampled_from([2, 3, 7])))
+GAP = st.one_of(st.integers(1, 3),
+                st.builds(F, st.integers(1, 6), st.sampled_from([2, 3, 7])))
+
+
+@st.composite
+def saddle_games(draw):
+    """(matrix, kind), 1-6 x 1-6: kind "strict" plants a strict pure saddle,
+    "weak" plants a pure saddle with a tie in its row or column, and
+    "none" has no pure saddle at all."""
+    kind = draw(st.sampled_from(["strict", "weak", "none"]))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    a = [[draw(GAME_ENTRY) for _ in range(n)] for _ in range(m)]
+    if kind == "none":
+        assume(max(min(row) for row in a) < min(max(col) for col in zip(*a)))
+        return a, kind
+    i = draw(st.integers(0, m - 1))
+    j = draw(st.integers(0, n - 1))
+    v = a[i][j]
+    for q in range(n):
+        if q != j:
+            a[i][q] = v + draw(GAP)
+    for r in range(m):
+        if r != i:
+            a[r][j] = v - draw(GAP)
+    if kind == "weak":
+        ties = [(i, q) for q in range(n) if q != j] + \
+            [(r, j) for r in range(m) if r != i]
+        assume(ties)
+        r, q = draw(st.sampled_from(ties))
+        a[r][q] = v
+    return a, kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(saddle_games())
+@example(([[0, 0], [0, 0]], "weak"))
+@example(([[F(1, 2)]], "strict"))
+@example(([[1, -1], [-1, 1]], "none"))
+@example(([[3, F(7, 2)], [F(-1, 7), 2]], "strict"))
+def test_zero_sum_strategies_match_fraction_oracle(game):
+    # the saddle shortcut returns the simplex's pair, and only a strict
+    # saddle skips the simplex: any tie goes to the LP
+    matrix, kind = game
+    assert (_strict_saddle(matrix) is not None) == (kind == "strict")
+    with patch.object(lp, "_simplex", wraps=lp._simplex) as spy:
+        got = zero_sum_strategies(matrix)
+    assert spy.called == (kind != "strict")
+    assert got == oracle_zero_sum_strategies(matrix)
+    x, y, value = got
+    assert all(type(q) is F for q in x + y + [value])
+
+
+WEIGHT = st.one_of(st.just(0), st.builds(F, st.integers(0, 9),
+                                         st.sampled_from([1, 2, 3, 7, 12])))
+
+
+@st.composite
+def int_matrix_profiles(draw):
+    """Int payoff matrices, as MetaState holds them, under weights with
+    mixed denominators (zeros included)."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 6))
+    v1, v2 = ([[draw(st.integers(-50, 50)) for _ in range(n)] for _ in range(m)]
+              for _ in range(2))
+    return v1, v2, [draw(WEIGHT) for _ in range(m)], [draw(WEIGHT) for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrix_profiles())
+@example(([[1, 2]], [[3, 4]], [0], [0, 0]))
+def test_int_payoffs_match_fraction_sums(game):
+    rows, cols, values = payoffs(*game)
+    assert (rows, cols, values) == oracle_payoffs(*game)
+    assert all(type(q) is F for q in rows + cols + list(values))
