@@ -236,8 +236,7 @@ def zero_sum_strategies(matrix):
     if sum(x) != 1 or sum(y) != 1 or any(v < 0 for v in x) or any(v < 0 for v in y):
         raise LpError("zero-sum solve produced a non-distribution")
     rows, cols, _ = payoffs(a, a, x, y)
-    scaled = value * den
-    if not max(rows) == scaled == min(cols):
+    if not max(rows) == value * den == min(cols):
         raise LpError("zero-sum solve failed its exactness certificate")
     return x, y, value
 
